@@ -21,7 +21,7 @@ from .enumeration import enumerate_T_mkr, enumerate_hypertrees
 from .harness import SuiteConfig, default_config, run_suite, verify_extremal
 from .hypergraph import canonical_code, load, to_json_dict, validate
 from .matching import matching_number, matching_polynomial
-from .spectral import spectral_radius_polyroot, spectral_radius_power
+from .spectral import PowerIterationError, spectral_radius_polyroot, spectral_radius_power
 from .transforms import compare_order, majorization_chain
 
 
@@ -135,24 +135,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = verify_extremal(args.m, args.k, args.r, at_least=args.at_least)
-    print(
-        json.dumps(
-            {
-                "m": report.m,
-                "k": report.k,
-                "r": report.r,
-                "classes": report.class_count,
-                "winner_code": report.winner_code.decode("ascii"),
-                "winner_rho": report.winner_rho,
-                "bound_rho": report.bound_rho,
-                "unique": report.unique,
-                "matches_bound": report.matches_bound,
-                "winner_is_construction": report.winner_is_construction,
-                "interpretation": report.interpretation,
-                "passed": report.passed,
-            }
-        )
-    )
+    print(json.dumps(report.to_json_dict()))
     return 0 if report.passed else 1
 
 
@@ -256,6 +239,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (InfeasibleParameters, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError, PowerIterationError) as exc:
+        # resource limits are not verdicts: exit 1 stays "verification failed"
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -64,6 +64,23 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.unique and self.matches_bound and self.winner_is_construction
 
+    def to_json_dict(self) -> dict:
+        """JSON-ready fields in report order, plus the overall verdict."""
+        return {
+            "m": self.m,
+            "k": self.k,
+            "r": self.r,
+            "classes": self.class_count,
+            "winner_code": self.winner_code.decode("ascii"),
+            "winner_rho": self.winner_rho,
+            "bound_rho": self.bound_rho,
+            "unique": self.unique,
+            "matches_bound": self.matches_bound,
+            "winner_is_construction": self.winner_is_construction,
+            "interpretation": self.interpretation,
+            "passed": self.passed,
+        }
+
 
 def verify_extremal(
     m: int,
@@ -214,21 +231,14 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
         report = verify_extremal(
             m, k, r, at_least=config.at_least, bound_tol=config.bound_tol, gap_tol=config.gap_tol
         )
-        ok = report.passed
-        all_passed = all_passed and ok
+        all_passed = all_passed and report.passed
         rows.append(
             base
+            | report.to_json_dict()
             | {
-                "classes": report.class_count,
-                "winner_code": report.winner_code.decode("ascii"),
                 "winner_rho": f"{report.winner_rho:.12f}",
                 "bound_rho": f"{report.bound_rho:.12f}",
-                "unique": report.unique,
-                "matches_bound": report.matches_bound,
                 "feasible": True,
-                "winner_is_construction": report.winner_is_construction,
-                "interpretation": report.interpretation,
-                "passed": ok,
             }
         )
 

@@ -9,17 +9,20 @@ which reports findings instead of raising.
 
 Acyclicity is decided on the bipartite vertex-edge incidence graph: a
 linear hypergraph is acyclic exactly when that graph is a forest.  On
-hyperforests the incidence forest also drives canonical codes (rooted
-AHU encoding at the tree centers), isomorphism tests, and automorphism
-counts.  All operations are pure functions over immutable values.
+hyperforests the incidence forest also drives canonical codes,
+isomorphism tests, and automorphism counts, all from one iterative AHU
+pass that roots each incidence tree at its center.  The center is
+unique: every edge holds at least two vertices, so every leaf of an
+incidence tree is a vertex node, any two leaves lie at even distance in
+the bipartite incidence graph, and the diameter is even.  All operations
+are pure functions over immutable values.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 CanonicalCode = bytes
 
@@ -101,12 +104,13 @@ def single_edge(r: int) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
-def _forest_scan(H: Hypergraph) -> tuple[bool, int]:
-    """(acyclic, component count) via union-find over vertices.
+def _forest_scan(H: Hypergraph) -> tuple[bool, int, Callable[[int], int]]:
+    """(acyclic, component count, find) via union-find over vertices.
 
-    An edge whose vertices already meet a common component closes a cycle
-    in the incidence graph; this matches the walk-based cycle notion for
-    linear hypergraphs and flags any pair of edges sharing >= 2 vertices.
+    `find` maps a vertex to its component's root.  An edge whose vertices
+    already meet a common component closes a cycle in the incidence graph;
+    this matches the walk-based cycle notion for linear hypergraphs and
+    flags any pair of edges sharing >= 2 vertices.
     """
     parent = list(range(H.n))
 
@@ -119,14 +123,15 @@ def _forest_scan(H: Hypergraph) -> tuple[bool, int]:
     acyclic = True
     components = H.n
     for e in H.edges:
-        roots = {find(v) for v in e}
-        if len(roots) < len(e):
-            acyclic = False
-        roots = list(roots)
-        for other in roots[1:]:
-            parent[other] = roots[0]
-        components -= len(roots) - 1
-    return acyclic, components
+        root = find(e[0])
+        for v in e[1:]:
+            other = find(v)
+            if other == root:
+                acyclic = False
+            else:
+                parent[other] = root
+                components -= 1
+    return acyclic, components, find
 
 
 def is_acyclic(H: Hypergraph) -> bool:
@@ -156,7 +161,7 @@ def validate(H: Hypergraph) -> ValidationReport:
             if len(shared) > 1:
                 linear = False
                 violations.append(f"edges {a} and {b} share {len(shared)} vertices")
-    acyclic, components = _forest_scan(H)
+    acyclic, components, _ = _forest_scan(H)
     connected = components <= 1
     if not connected:
         violations.append(f"{components} connected components")
@@ -246,18 +251,7 @@ def disjoint_union(G: Hypergraph, H: Hypergraph) -> Hypergraph:
 
 def connected_components(H: Hypergraph) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted, in sorted order."""
-    parent = list(range(H.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in H.edges:
-        root = find(e[0])
-        for v in e[1:]:
-            parent[find(v)] = root
+    find = _forest_scan(H)[2]
     groups: dict[int, list[int]] = {}
     for v in range(H.n):
         groups.setdefault(find(v), []).append(v)
@@ -342,86 +336,100 @@ def _incidence_adjacency(H: Hypergraph) -> list[list[int]]:
     return adj
 
 
-def _component_nodes(H: Hypergraph) -> list[list[int]]:
-    comps = connected_components(H)
-    edge_home = {}
-    for j, e in enumerate(H.edges):
-        edge_home[H.n + j] = e[0]
-    out = []
-    for comp in comps:
-        members = set(comp)
-        nodes = list(comp) + [node for node, home in edge_home.items() if home in members]
-        out.append(sorted(nodes))
-    return out
+def _tree_center(adj: list[list[int]], nodes: list[int]) -> int:
+    """Center node of an incidence tree by iterative leaf removal.
 
-
-def _tree_centers(adj: list[list[int]], nodes: list[int]) -> list[int]:
-    """Center node(s) of a tree component by iterative leaf removal."""
-    if len(nodes) == 1:
-        return list(nodes)
-    members = set(nodes)
-    deg = {x: sum(1 for y in adj[x] if y in members) for x in nodes}
-    remaining = set(nodes)
+    Every edge holds at least two vertices, so every leaf of an incidence
+    tree is a vertex node.  Any two vertex nodes lie at even distance in
+    the bipartite incidence graph, so the diameter is even and the center
+    is unique.  Only an edge with a single vertex (non-uniform input) can
+    leave two adjacent centers; the edge-side one is then returned: its
+    code sorts first ("e(" < "v("), and every automorphism fixes it since
+    the two centers differ in kind.
+    """
+    deg = {x: len(adj[x]) for x in nodes}
     layer = [x for x in nodes if deg[x] <= 1]
-    while len(remaining) > 2:
+    remaining = len(nodes)
+    while remaining > 2:
+        remaining -= len(layer)
         nxt = []
         for x in layer:
-            remaining.discard(x)
             for y in adj[x]:
-                if y in remaining:
-                    deg[y] -= 1
-                    if deg[y] == 1:
-                        nxt.append(y)
+                deg[y] -= 1
+                if deg[y] == 1:
+                    nxt.append(y)
         layer = nxt
-    return sorted(remaining)
+    return max(layer)
 
 
-def _rooted_code(adj: list[list[int]], n: int, root: int) -> str:
-    def go(node: int, parent: int) -> str:
-        kids = sorted(go(x, node) for x in adj[node] if x != parent)
-        tag = "v" if node < n else "e"
-        return tag + "(" + "".join(kids) + ")"
+def _merge(parts: list[tuple[str, int]]) -> tuple[str, int]:
+    """Sorted concatenation of sibling codes and the order of their automorphism group.
 
-    return go(root, -1)
+    Siblings are permuted among themselves only when their codes agree, so
+    each block of k equal codes contributes k!.
+    """
+    parts.sort()
+    aut = 1
+    run = 1
+    for i, (code, sub_aut) in enumerate(parts):
+        aut *= sub_aut
+        if i and code == parts[i - 1][0]:
+            run += 1
+            aut *= run
+        else:
+            run = 1
+    return "".join(code for code, _ in parts), aut
 
 
-def _rooted_code_aut(adj: list[list[int]], n: int, root: int) -> tuple[str, int]:
-    def go(node: int, parent: int) -> tuple[str, int]:
-        kids = [go(x, node) for x in adj[node] if x != parent]
-        kids.sort(key=lambda t: t[0])
-        aut = 1
-        for _, sub_aut in kids:
-            aut *= sub_aut
-        i = 0
-        while i < len(kids):
-            j = i
-            while j < len(kids) and kids[j][0] == kids[i][0]:
-                j += 1
-            aut *= math.factorial(j - i)
-            i = j
-        tag = "v" if node < n else "e"
-        return tag + "(" + "".join(c for c, _ in kids) + ")", aut
+def _forest_code(H: Hypergraph) -> tuple[str, int]:
+    """AHU code of the incidence forest and the order of its automorphism group.
 
-    return go(root, -1)
+    One iterative pass per component: gather its nodes, root it at its
+    center, then encode children before parents (reverse BFS order), so
+    no depth of input reaches the call stack.
+    """
+    adj = _incidence_adjacency(H)
+    seen = [False] * len(adj)
+    parent = [-1] * len(adj)
+    # encoded subtrees awaiting their parent; component roots wait under -1
+    below: dict[int, list[tuple[str, int]]] = {}
+    for start in range(H.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        nodes = [start]
+        for x in nodes:
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    nodes.append(y)
+        root = _tree_center(adj, nodes)
+        order = [root]
+        parent[root] = -1
+        for x in order:
+            for y in adj[x]:
+                if y != parent[x]:
+                    parent[y] = x
+                    order.append(y)
+        for x in reversed(order):
+            code, aut = _merge(below.pop(x, []))
+            tag = "v(" if x < H.n else "e("
+            below.setdefault(parent[x], []).append((tag + code + ")", aut))
+    return _merge(below.pop(-1, []))
 
 
 def canonical_code(H: Hypergraph) -> CanonicalCode:
     """Canonical byte code of a hyperforest.
 
-    Rooted AHU encoding of each incidence tree at its center(s), minimized
-    over the at most two centers, with per-component codes sorted and
-    concatenated.  Two hyperforests get equal codes iff they are
-    isomorphic; cyclic input is rejected.
+    Rooted AHU encoding of each incidence tree at its center, which is
+    unique because every leaf of an incidence tree is a vertex node and so
+    the diameter is even; per-component codes are sorted and concatenated.
+    Two hyperforests get equal codes iff they are isomorphic; cyclic input
+    is rejected.
     """
     if not is_acyclic(H):
         raise ValueError("canonical code is defined for hyperforests only")
-    adj = _incidence_adjacency(H)
-    codes = []
-    for nodes in _component_nodes(H):
-        centers = _tree_centers(adj, nodes)
-        codes.append(min(_rooted_code(adj, H.n, c) for c in centers))
-    codes.sort()
-    return (f"r{H.r}:" + "".join(codes)).encode("ascii")
+    return (f"r{H.r}:" + _forest_code(H)[0]).encode("ascii")
 
 
 def is_isomorphic(G: Hypergraph, H: Hypergraph) -> bool:
@@ -434,30 +442,15 @@ def is_isomorphic(G: Hypergraph, H: Hypergraph) -> bool:
 def automorphism_count(H: Hypergraph) -> int:
     """Order of the automorphism group of a hyperforest.
 
-    Computed on the incidence forest: within a component the root is the
-    unique center, or the vertex-side center when there are two (the two
-    centers always differ in kind, so no automorphism can swap them).
-    Identical components multiply in with a factorial for each block.
+    Computed on the incidence forest in the same pass as the canonical
+    code: each component is rooted at its unique center (every leaf is a
+    vertex node, so the diameter is even), which every automorphism fixes.
+    Within a node, and among the components, each block of k identical
+    subtrees multiplies in k!.
     """
     if not is_acyclic(H):
         raise ValueError("automorphism count implemented for hyperforests only")
-    adj = _incidence_adjacency(H)
-    comps = []
-    for nodes in _component_nodes(H):
-        centers = _tree_centers(adj, nodes)
-        root = centers[0] if len(centers) == 1 else min(c for c in centers if c < H.n)
-        comps.append(_rooted_code_aut(adj, H.n, root))
-    comps.sort(key=lambda t: t[0])
-    total = 1
-    i = 0
-    while i < len(comps):
-        j = i
-        while j < len(comps) and comps[j][0] == comps[i][0]:
-            total *= comps[j][1]
-            j += 1
-        total *= math.factorial(j - i)
-        i = j
-    return total
+    return _forest_code(H)[1]
 
 
 def relabel(H: Hypergraph, perm: Sequence[int]) -> Hypergraph:

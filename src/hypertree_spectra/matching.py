@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import polynomials as poly
 from .hypergraph import (
     Hypergraph,
     canonical_code,
@@ -55,6 +56,14 @@ class MatchingProfile:
     def nu(self) -> int:
         return len(self.counts) - 1
 
+    def z_poly(self) -> list[int]:
+        """Coefficients of p(z) = sum_k (-1)^k m(H,k) z^(nu-k), ascending.
+
+        phi(H, x) = x^(n - nu*r) p(x^r), so the largest root of p is rho^r.
+        """
+        nu = self.nu
+        return [(-1) ** (nu - j) * self.counts[nu - j] for j in range(nu + 1)]
+
 
 @dataclass
 class MatchPoly:
@@ -88,9 +97,7 @@ class MatchPoly:
 
     def z_coeffs(self) -> list[int]:
         """Coefficients of p(z) with phi(H, x) = x^(n - nu*r) * p(x^r), ascending."""
-        nu = self.nu
-        cnt = self.counts()
-        return [(-1) ** (nu - j) * cnt[nu - j] for j in range(nu + 1)]
+        return MatchingProfile(self.counts()).z_poly()
 
     def to_json_dict(self) -> dict:
         coeffs = {str(e): str(self.coeffs[e]) for e in sorted(self.coeffs, reverse=True)}
@@ -107,14 +114,6 @@ class MatchPoly:
     @classmethod
     def from_json(cls, text: str) -> "MatchPoly":
         return cls.from_json_dict(json.loads(text))
-
-
-def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
 
 
 def _pendent_edge(H: Hypergraph) -> tuple[int, ...]:
@@ -135,12 +134,12 @@ def _counts(H: Hypergraph) -> tuple[int, ...]:
         return (1, 1)
     comps = connected_components(H)
     if len(comps) > 1:
-        total = (1,)
+        total = [1]
         for comp in comps:
             if len(comp) == 1:
                 continue
-            total = _convolve(total, _counts(restrict(H, comp).hypergraph))
-        return total
+            total = poly.mul(total, _counts(restrict(H, comp).hypergraph))
+        return tuple(total)
     acyclic = is_acyclic(H)
     key = (b"F", canonical_code(H)) if acyclic else (b"X", H.r, H.n, H.edges)
     hit = _cache.get(key)
@@ -157,11 +156,15 @@ def _counts(H: Hypergraph) -> tuple[int, ...]:
     return result
 
 
-def matching_counts(H: Hypergraph) -> MatchingProfile:
-    """Exact k-matching counts for every k up to the matching number."""
+def _require_uniform_linear(H: Hypergraph) -> None:
     report = validate(H)
     if not (report.uniform and report.linear):
         raise ValueError(f"invalid hypergraph: {'; '.join(report.violations)}")
+
+
+def matching_counts(H: Hypergraph) -> MatchingProfile:
+    """Exact k-matching counts for every k up to the matching number."""
+    _require_uniform_linear(H)
     return MatchingProfile(_counts(H))
 
 

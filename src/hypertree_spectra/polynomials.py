@@ -20,6 +20,9 @@ from typing import Sequence
 Dense = list
 Sparse = dict
 
+# isolating-interval width at which a top root is handed over to floats
+_ROOT_WIDTH = Fraction(1, 10**14)
+
 # ---------------------------------------------------------------------------
 # dense arithmetic
 # ---------------------------------------------------------------------------
@@ -265,16 +268,26 @@ def largest_real_root(p: Sequence) -> tuple | None:
     return markers[-1] if markers else None
 
 
-def largest_real_root_float(p: Sequence, width: Fraction = Fraction(1, 10**14)) -> float | None:
-    """Largest real root as a float: exact isolation, then one Newton polish."""
+def _top_root(p: Sequence, width: Fraction = _ROOT_WIDTH) -> tuple[float, int] | None:
+    """Largest real root as a float, with the number of halvings that bring
+    its isolating interval below `width` (0 for an exact rational root).
+
+    Exact isolation, count-based bisection, then one Newton polish that is
+    kept only when it stays within the final interval's width.
+    """
     marker = largest_real_root(p)
     if marker is None:
         return None
     if marker[0] == "point":
-        return float(marker[1])
+        return float(marker[1]), 0
+    halvings = 0
+    w = marker[2] - marker[1]
+    while w > width:
+        w /= 2
+        halvings += 1
     marker = refine_isolating(p, marker[1], marker[2], width)
     if marker[0] == "point":
-        return float(marker[1])
+        return float(marker[1]), halvings
     a, b = marker[1], marker[2]
     x = float((a + b) / 2)
     fp = [float(c) for c in trim(p)]
@@ -284,7 +297,13 @@ def largest_real_root_float(p: Sequence, width: Fraction = Fraction(1, 10**14)) 
         step = evaluate(fp, x) / dfx
         if abs(step) <= float(b - a):
             x -= step
-    return x
+    return x, halvings
+
+
+def largest_real_root_float(p: Sequence, width: Fraction = _ROOT_WIDTH) -> float | None:
+    """Largest real root as a float: exact isolation, then one Newton polish."""
+    top = _top_root(p, width)
+    return None if top is None else top[0]
 
 
 # ---------------------------------------------------------------------------

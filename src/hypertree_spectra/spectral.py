@@ -14,14 +14,14 @@ structures), with the Collatz-Wielandt bracket
 min_i (Bx)_i / x_i^(r-1) <= rho(B) <= max_i (...) driving the stopping
 rule.  Route two, for hyperforests, reads rho off the matching
 polynomial: substituting z = x^r turns phi into x^(n-nu*r) p(z), and rho
-is the r-th root of the largest real root of p, located by exact Sturm
-isolation plus a final Newton polish.
+is the r-th root of the largest real root of p, located by the shared
+top-root routine in `polynomials`: exact Sturm isolation, bisection, and
+a final Newton polish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -32,9 +32,8 @@ from .hypergraph import (
     connected_components,
     is_acyclic,
     restrict,
-    validate,
 )
-from .matching import matching_counts
+from .matching import _require_uniform_linear, matching_counts
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
@@ -56,12 +55,6 @@ class SpectralResult:
     eigenvector: Optional[np.ndarray] = None
     residual: Optional[float] = None
     iterations: int = 0
-
-
-def _require_uniform_linear(H: Hypergraph) -> None:
-    report = validate(H)
-    if not (report.uniform and report.linear):
-        raise ValueError(f"invalid hypergraph: {'; '.join(report.violations)}")
 
 
 def apply_adjacency(H: Hypergraph, x) -> np.ndarray:
@@ -184,38 +177,14 @@ def spectral_radius_polyroot(H: Hypergraph, with_residual: bool = False) -> Spec
     if H.n == 0:
         raise ValueError("empty hypergraph has no spectrum")
     profile = matching_counts(H)
-    nu = profile.nu
-    if nu == 0:
+    if profile.nu == 0:
         result = SpectralResult(0.0, "polyroot")
     else:
-        pz = [(-1) ** (nu - j) * profile.counts[nu - j] for j in range(nu + 1)]
-        marker = poly.largest_real_root(pz)
-        if marker is None:
+        top = poly._top_root(profile.z_poly())
+        if top is None:
             raise RuntimeError("matching polynomial with no real root in z")
-        if marker[0] == "point":
-            steps = 0
-            z = float(marker[1])
-        else:
-            target = Fraction(1, 10**14)
-            steps = 0
-            w = marker[2] - marker[1]
-            while w > target:
-                w /= 2
-                steps += 1
-            refined = poly.refine_isolating(pz, marker[1], marker[2], target)
-            if refined[0] == "point":
-                z = float(refined[1])
-            else:
-                a, b = refined[1], refined[2]
-                z = float((a + b) / 2)
-                fp = [float(c) for c in pz]
-                fd = [float(c) for c in poly.derivative(pz)]
-                dfz = poly.evaluate(fd, z)
-                if dfz != 0.0:
-                    newton = poly.evaluate(fp, z) / dfz
-                    if abs(newton) <= float(b - a):
-                        z -= newton
-        result = SpectralResult(z ** (1.0 / H.r), "polyroot", iterations=steps)
+        z, halvings = top
+        result = SpectralResult(z ** (1.0 / H.r), "polyroot", iterations=halvings)
     if with_residual:
         power = spectral_radius_power(H)
         result.residual = residual(H, result.rho, power.eigenvector)

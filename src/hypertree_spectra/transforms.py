@@ -117,11 +117,6 @@ def edge_release(H: Hypergraph, e: Iterable[int]) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
-def _z_poly(counts: tuple[int, ...]) -> list[int]:
-    nu = len(counts) - 1
-    return [(-1) ** (nu - j) * counts[nu - j] for j in range(nu + 1)]
-
-
 def _top_root_marker(p: list[int]) -> tuple:
     """Largest real root of p as ('point', q) or ('interval', a, b).
 
@@ -252,17 +247,14 @@ def compare_order(T1: Hypergraph, T2: Hypergraph) -> OrderRelation:
     for T in (T1, T2):
         if not is_acyclic(T):
             raise ValueError("both arguments must be hyperforests")
-    c1 = matching_counts(T1).counts
-    c2 = matching_counts(T2).counts
-    if c1 == c2:
+    prof1 = matching_counts(T1)
+    prof2 = matching_counts(T2)
+    if prof1 == prof2:
         return OrderRelation(EQUAL_POLY, {})
-    p1, p2 = _z_poly(c1), _z_poly(c2)
-    nu = max(len(c1), len(c2)) - 1
+    p1, p2 = prof1.z_poly(), prof2.z_poly()
+    nu = max(prof1.nu, prof2.nu)
     trailing = T1.n - nu * T1.r
-    D = poly.sub(
-        poly.mul_xpow(p1, nu - (len(c1) - 1)),
-        poly.mul_xpow(p2, nu - (len(c2) - 1)),
-    )
+    D = poly.sub(poly.mul_xpow(p1, nu - prof1.nu), poly.mul_xpow(p2, nu - prof2.nu))
     weak12, vanish12, wit12 = _dominates_from(p1, D, trailing)
     if weak12:
         tag = PRECEDES_WEAK if vanish12 else PRECEDES_STRICT

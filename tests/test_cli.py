@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from hypertree_spectra import Hypergraph, hyperstar, save
+from hypertree_spectra import Hypergraph, PowerIterationError, hyperstar, save
+from hypertree_spectra import cli
 from hypertree_spectra.cli import main
 
 from conftest import path_graph
@@ -144,3 +145,30 @@ def test_chain(capsys):
 
 def test_usage_error_exit_code():
     assert main(["chain", "--from", "3,2,1", "--to", "2,2,2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "callee, argv, exc",
+    [
+        ("matching_polynomial", ["matchpoly"], RecursionError("maximum recursion depth exceeded")),
+        ("matching_polynomial", ["matchpoly"], MemoryError()),
+        (
+            "spectral_radius_power",
+            ["rho", "--method", "power"],
+            PowerIterationError("bracket did not close", (1.0, 2.0), 7),
+        ),
+    ],
+)
+def test_resource_failure_exit_code(capsys, monkeypatch, tree_file, callee, argv, exc):
+    """Running out of stack, memory, or iterations is exit 2, never the
+    verification-failure code 1, and prints one error line."""
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, callee, fail)
+    assert main(argv[:1] + [tree_file] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,0 +1,91 @@
+"""Golden bytes: exact CLI stdout and suite reports, key order included.
+
+The expected strings were captured before the kernels behind them were
+merged; any byte that moves here is a visible change of output.  The
+power route is left out because its last digits follow numpy's float
+summation order.
+"""
+
+from hypertree_spectra import Hypergraph, save
+from hypertree_spectra.cli import main
+from hypertree_spectra.harness import SuiteConfig, run_suite
+
+VERIFY_633 = (
+    '{"m": 6, "k": 3, "r": 3, "classes": 11, "winner_code": '
+    '"r3:e(v(e(v()v()))v(e(v()v()))v(e(v()v())e(v()v())e(v()v())))", '
+    '"winner_rho": 1.6663948769571526, "bound_rho": 1.6663948769571526, '
+    '"unique": true, "matches_bound": true, "winner_is_construction": true, '
+    '"interpretation": "exact-nu", "passed": true}\n'
+)
+
+RHO_P4_POLY = (
+    '{"method": "poly", "polyroot": {"rho": 1.618033988749895, "iterations": 48}, '
+    '"rho": 1.618033988749895, "residual": null, "iterations": 48}\n'
+)
+
+SUITE_CSV = (
+    "m,k,r,q,s,l,classes,winner_code,winner_rho,bound_rho,unique,matches_bound\n"
+    "5,3,2,2,0,0,2,r2:v(e(v())e(v(e(v())))e(v(e(v())))),1.931851652578,1.931851652578,True,True\n"
+    "3,2,3,0,1,1,1,r3:e(v()v(e(v()v()))v(e(v()v()))),1.378240772489,1.378240772489,True,True\n"
+)
+
+SUITE_JSON = """{
+  "all_passed": true,
+  "rows": [
+    {
+      "bound_rho": "1.931851652578",
+      "classes": 2,
+      "feasible": true,
+      "interpretation": "exact-nu",
+      "k": 3,
+      "l": 0,
+      "m": 5,
+      "matches_bound": true,
+      "passed": true,
+      "q": 2,
+      "r": 2,
+      "s": 0,
+      "unique": true,
+      "winner_code": "r2:v(e(v())e(v(e(v())))e(v(e(v()))))",
+      "winner_is_construction": true,
+      "winner_rho": "1.931851652578"
+    },
+    {
+      "bound_rho": "1.378240772489",
+      "classes": 1,
+      "feasible": true,
+      "interpretation": "exact-nu",
+      "k": 2,
+      "l": 1,
+      "m": 3,
+      "matches_bound": true,
+      "passed": true,
+      "q": 0,
+      "r": 3,
+      "s": 1,
+      "unique": true,
+      "winner_code": "r3:e(v()v(e(v()v()))v(e(v()v())))",
+      "winner_is_construction": true,
+      "winner_rho": "1.378240772489"
+    }
+  ]
+}"""
+
+
+def test_verify_stdout(capsys):
+    assert main(["verify", "6", "3", "3"]) == 0
+    assert capsys.readouterr().out == VERIFY_633
+
+
+def test_rho_poly_stdout(capsys, tmp_path):
+    path = tmp_path / "p4.json"
+    save(Hypergraph(2, 4, ((0, 1), (1, 2), (2, 3))), str(path))
+    assert main(["rho", str(path), "--method", "poly"]) == 0
+    assert capsys.readouterr().out == RHO_P4_POLY
+
+
+def test_suite_reports():
+    result = run_suite(SuiteConfig(triples=[(3, 2, 3), (5, 3, 2)]))
+    assert result.exit_code == 0
+    assert result.csv_text == SUITE_CSV
+    assert result.json_text == SUITE_JSON

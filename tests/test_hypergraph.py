@@ -31,6 +31,8 @@ from hypertree_spectra import (
     vertex_kind,
 )
 
+from conftest import path_graph
+
 PATH3_R3 = build_Ra(2, 3)  # three 3-edges in a chain
 
 
@@ -227,6 +229,28 @@ def test_automorphism_count():
     assert automorphism_count(single_edge(3)) == 6
     # S_3^3: permute edges (3!) and swap the two cores inside each (2^3)
     assert automorphism_count(hyperstar(3, 3)) == 48
+    # two copies of P3: flip each (2 * 2) and swap the copies (2!)
+    assert automorphism_count(Hypergraph(2, 6, [(0, 1), (1, 2), (3, 4), (4, 5)])) == 8
+    # two 3-edges (3! each, 2! to swap them) and two isolated vertices (2!)
+    assert automorphism_count(Hypergraph(3, 8, [(0, 1, 2), (4, 5, 6)])) == 144
+
+
+def test_canonical_code_one_vertex_edge():
+    """A one-vertex edge can leave two adjacent incidence-tree centers; the
+    code is rooted at the edge-side one, whose code sorts first."""
+    H = Hypergraph(3, 4, [(0,), (0, 1, 2)])
+    assert canonical_code(H) == b"r3:e(v()v()v(e()))v()"
+    assert automorphism_count(H) == 2
+    assert canonical_code(Hypergraph(3, 1, [(0,)])) == b"r3:e(v())"
+
+
+def test_canonical_code_deep_path():
+    """A 600-edge path is far deeper than the interpreter's recursion limit."""
+    P = path_graph(601)
+    code = canonical_code(P)
+    assert len(code) == len("r2:") + 3 * (P.n + P.m)  # each node is "v()" or "e()"
+    assert code == canonical_code(relabel(P, list(reversed(range(P.n)))))
+    assert automorphism_count(P) == 2
 
 
 def test_connected_components():
