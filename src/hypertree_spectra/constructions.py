@@ -17,8 +17,10 @@ r x^r = (m - 1)(1 - x).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Union
 
+from . import polynomials as poly
 from .hypergraph import Hypergraph, single_edge
 from .matching import matching_number
 
@@ -234,20 +236,32 @@ def _bisect_newton(g, dg, neg_end: float, pos_end: float, width: float = 1e-14) 
     return x
 
 
-def _certify_maximum_root(g, alpha0: float, grid: int = 10**4) -> None:
-    """Check g keeps one sign on (alpha0, 1): no larger root was missed."""
-    gap = 1.0 - alpha0
-    bad = []
-    for i in range(1, grid):
-        pt = alpha0 + gap * i / grid
-        if pt >= 1.0:
-            break
-        if g(pt) <= 0:
-            bad.append((pt, g(pt)))
-    if bad:
-        raise BracketingError(
-            f"sign change above alpha0={alpha0!r}; not the maximum root", bad
-        )
+def _cleared_bound_poly(r: int, q: int, s: int, l: int) -> list[int]:
+    """G(a) = a^s (1-a) g(a) = a^(r-1+s) - (1-a) (a^(r-1) + l a^(r-1+s) + q a^s):
+    integer coefficients, degree <= r + s, and g's sign on (0, 1)."""
+    G = [0] * (r + s + 1)
+    for e, c in ((r - 1 + s, 1 - l), (r + s, l), (r - 1, -1), (r, 1), (s, -q), (s + 1, q)):
+        G[e] += c
+    return G
+
+
+def _certify_maximum_root(G: list[int], alpha0: float, grid: int = 10**4) -> None:
+    """Check exactly that g, of G's sign on (0, 1), has no root in [c, 1)
+    for c = alpha0 + (1 - alpha0)/grid: G(c) > 0 and, as G(1) = 1, no
+    Sturm-counted root in (c, 1].  The trace holds (x, G(x)) at c and at
+    the midpoint of each isolated root of G above c.
+    """
+    c = Fraction(alpha0) + (1 - Fraction(alpha0)) / grid
+    if poly.sign_at(G, c) <= 0:
+        bad = [c]
+    elif poly.count_real_roots(poly.sturm_chain(G), c, 1):
+        bad = [c] + [(mk[1] + mk[-1]) / 2 for mk in poly.isolate_real_roots(G, c, 1)]
+    else:
+        return
+    raise BracketingError(
+        f"root of the bound equation above alpha0={alpha0!r}; not the maximum root",
+        [(float(x), float(poly.evaluate(G, x))) for x in bad],
+    )
 
 
 def rho_bound(m: int, k: int, r: int) -> BoundResult:
@@ -256,7 +270,8 @@ def rho_bound(m: int, k: int, r: int) -> BoundResult:
     alpha0 is the maximum root in (0, 1) of
     g(a) = a^(r-1) (1/(1-a) - a^(-s) - l) - q, found by scanning a
     geometric grid down from 1 (where g -> +inf) for the sign change
-    nearest 1, then bisecting.  rho = (1/(1-alpha0))^(1/r).
+    nearest 1, then bisecting.  rho = (1/(1-alpha0))^(1/r).  An exact
+    Sturm count on G(a) = a^s (1-a) g(a) certifies that no root lies above.
     """
     p = extremal_params(m, k, r)
     if not p.feasible:
@@ -299,7 +314,7 @@ def rho_bound(m: int, k: int, r: int) -> BoundResult:
             trace,
         )
     alpha0 = _bisect_newton(g, dg, bracket[0], bracket[1])
-    _certify_maximum_root(g, alpha0)
+    _certify_maximum_root(_cleared_bound_poly(r, q, s, l), alpha0)
     return BoundResult(alpha0=alpha0, rho=(1.0 / (1.0 - alpha0)) ** (1.0 / r))
 
 

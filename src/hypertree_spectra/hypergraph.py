@@ -251,7 +251,11 @@ def disjoint_union(G: Hypergraph, H: Hypergraph) -> Hypergraph:
 
 def connected_components(H: Hypergraph) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted, in sorted order."""
-    find = _forest_scan(H)[2]
+    return _components(H, _forest_scan(H)[2])
+
+
+def _components(H: Hypergraph, find: Callable[[int], int]) -> list[list[int]]:
+    """connected_components from the `find` of a `_forest_scan` already made."""
     groups: dict[int, list[int]] = {}
     for v in range(H.n):
         groups.setdefault(find(v), []).append(v)

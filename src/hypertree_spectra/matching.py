@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from . import polynomials as poly
 from .hypergraph import (
     Hypergraph,
-    canonical_code,
-    connected_components,
+    _components,
+    _forest_code,
+    _forest_scan,
     delete_edge,
     delete_edge_closed,
-    is_acyclic,
     restrict,
     validate,
 )
@@ -132,16 +132,20 @@ def _counts(H: Hypergraph) -> tuple[int, ...]:
         return (1,)
     if H.m == 1:
         return (1, 1)
-    comps = connected_components(H)
-    if len(comps) > 1:
+    # one union-find scan gives the components and acyclicity
+    acyclic, components, find = _forest_scan(H)
+    if components > 1:
         total = [1]
-        for comp in comps:
+        for comp in _components(H, find):
             if len(comp) == 1:
                 continue
             total = poly.mul(total, _counts(restrict(H, comp).hypergraph))
         return tuple(total)
-    acyclic = is_acyclic(H)
-    key = (b"F", canonical_code(H)) if acyclic else (b"X", H.r, H.n, H.edges)
+    if acyclic:
+        # the bytes of canonical_code(H), without its second acyclicity scan
+        key = (b"F", f"r{H.r}:{_forest_code(H)[0]}".encode("ascii"))
+    else:
+        key = (b"X", H.r, H.n, H.edges)
     hit = _cache.get(key)
     if hit is not None:
         return hit

@@ -6,15 +6,17 @@ so all arithmetic is exact.  Sparse polynomials (dicts mapping exponent
 to integer coefficient) cover the wide-degree bookkeeping of matching
 polynomials, where only a few exponents are populated.
 
-Real roots are handled with Sturm sequences over exact rationals: root
-counts on intervals are exact, isolating intervals are refined by
-rational bisection, and floats are produced only at the very end.
+Real roots are handled in integers: `sign_at` takes signs at rationals
+by homogeneous Horner, Sturm chains have integer coefficients, isolation
+bisects on exact Sturm counts, and refinement bisects on the sign of the
+square-free part at dyadic points (Rouillier & Zimmermann, JCAM 162,
+2004).  Floats are produced only at the very end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Dense = list
@@ -110,33 +112,40 @@ def div_rem(p: Sequence, q: Sequence) -> tuple[Dense, Dense]:
     return trim(quo), rem
 
 
+def _content_free(p: Sequence) -> Dense:
+    """The positive multiple of p with coprime integer coefficients."""
+    denom = lcm(*(c.denominator for c in p if isinstance(c, Fraction)))
+    ints = [int(c * denom) for c in p]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _prem(a: Dense, b: Dense) -> Dense:
+    """|lc(b)|^k * rem(a, b) for integer a and b, computed in integers."""
+    lead = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    r = list(a)
+    while len(r) >= len(b):
+        f = r[-1] * sign
+        shift = len(r) - len(b)
+        r = [c * lead for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= f * c
+        r = trim(r)
+    return r
+
+
 def primitive(p: Sequence) -> Dense:
     """Scale to a primitive integer polynomial with positive leading coefficient."""
-    p = trim(p)
-    if not p:
-        return []
-    denom = 1
-    for c in p:
-        if isinstance(c, Fraction):
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    ints = _content_free(trim(p))
+    return neg(ints) if ints and ints[-1] < 0 else ints
 
 
 def poly_gcd(p: Sequence, q: Sequence) -> Dense:
     """Primitive gcd over the rationals (positive leading coefficient)."""
-    a = [Fraction(c) for c in trim(p)]
-    b = [Fraction(c) for c in trim(q)]
+    a, b = _content_free(trim(p)), _content_free(trim(q))
     while b:
-        a, b = b, div_rem(a, b)[1]
-    if not a:
-        return []
+        a, b = b, _content_free(_prem(a, b))
     return primitive(a)
 
 
@@ -155,32 +164,47 @@ def cauchy_bound(p: Sequence) -> Fraction:
 
 
 def sturm_chain(p: Sequence) -> list[Dense]:
-    p = [Fraction(c) for c in trim(p)]
+    """Sturm chain p, p', -rem(p, p'), ..., each element scaled by a positive
+    factor to coprime integers, which keeps every sign variation.  The last
+    element is gcd(p, p') up to a constant."""
+    p = _content_free(trim(p))
     if len(p) <= 1:
         return [p]
-    chain = [p, [Fraction(c) for c in derivative(p)]]
+    chain = [p, _content_free(derivative(p))]
     while len(chain[-1]) > 1:
-        rem = div_rem(chain[-2], chain[-1])[1]
+        rem = _prem(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append(neg(rem))
+        chain.append(_content_free(neg(rem)))
     return chain
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
+def _sign_scaled(p: Sequence, n: int, d: int) -> int:
+    """Sign of d^deg(p) * p(n/d) for d > 0, by homogeneous Horner."""
+    acc = 0
+    dk = 1
+    for c in reversed(p):
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
 
 
-def _variations(values) -> int:
-    signs = [_sign(v) for v in values if v != 0]
+def sign_at(p: Sequence, x) -> int:
+    """Sign of p at the rational x = n/d: the sign of sum c_i n^i d^(deg-i),
+    in Python ints when p has integer coefficients."""
+    x = Fraction(x)
+    return _sign_scaled(p, x.numerator, x.denominator)
+
+
+def _variations(chain: list[Dense], x) -> int:
+    x = Fraction(x)
+    signs = [s for s in (_sign_scaled(f, x.numerator, x.denominator) for f in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_real_roots(chain: list[Dense], a, b) -> int:
     """Distinct real roots of chain[0] in (a, b]; endpoints must not be roots."""
-    va = _variations(evaluate(f, a) for f in chain)
-    vb = _variations(evaluate(f, b) for f in chain)
-    return va - vb
+    return _variations(chain, a) - _variations(chain, b)
 
 
 def pick_nonroot(polys: list[Sequence], a: Fraction, b: Fraction) -> Fraction:
@@ -190,17 +214,18 @@ def pick_nonroot(polys: list[Sequence], a: Fraction, b: Fraction) -> Fraction:
     while True:
         for num in range(1, denom, 2):
             pt = a + (b - a) * Fraction(num, denom)
-            if all(evaluate(p, pt) != 0 for p in polys):
+            if all(sign_at(p, pt) != 0 for p in polys):
                 return pt
         denom *= 2
 
 
-def isolate_real_roots(p: Sequence, lo=None, hi=None) -> list[tuple]:
+def isolate_real_roots(p: Sequence, lo=None, hi=None, chain=None) -> list[tuple]:
     """Isolate the distinct real roots of p in (lo, hi).
 
     Returns markers in increasing order, each either ("point", q) for an
     exact rational root or ("interval", a, b) for an open interval holding
-    exactly one root with p(a) != 0 != p(b).
+    exactly one root with p(a) != 0 != p(b).  `chain` is p's Sturm chain,
+    if the caller has it.
     """
     p = trim(p)
     if len(p) <= 1:
@@ -208,9 +233,9 @@ def isolate_real_roots(p: Sequence, lo=None, hi=None) -> list[tuple]:
     bound = cauchy_bound(p) + 1
     lo = Fraction(lo) if lo is not None else -bound
     hi = Fraction(hi) if hi is not None else bound
-    if evaluate(p, lo) == 0 or evaluate(p, hi) == 0:
+    if sign_at(p, lo) == 0 or sign_at(p, hi) == 0:
         raise ValueError("isolation endpoints must not be roots")
-    chain = sturm_chain(p)
+    chain = chain or sturm_chain(p)
     out: list[tuple] = []
 
     def rec(a: Fraction, b: Fraction, cnt: int) -> None:
@@ -220,13 +245,13 @@ def isolate_real_roots(p: Sequence, lo=None, hi=None) -> list[tuple]:
             out.append(("interval", a, b))
             return
         mid = (a + b) / 2
-        if evaluate(p, mid) == 0:
+        if sign_at(p, mid) == 0:
             eps = (b - a) / 4
             while True:
                 l2, r2 = mid - eps, mid + eps
                 if (
-                    evaluate(p, l2) != 0
-                    and evaluate(p, r2) != 0
+                    sign_at(p, l2) != 0
+                    and sign_at(p, r2) != 0
                     and count_real_roots(chain, l2, r2) == 1
                 ):
                     break
@@ -243,41 +268,46 @@ def isolate_real_roots(p: Sequence, lo=None, hi=None) -> list[tuple]:
     return out
 
 
-def refine_isolating(p: Sequence, a: Fraction, b: Fraction, width: Fraction) -> tuple:
-    """Shrink an isolating interval below `width` by count-based bisection.
+def refine_isolating(p: Sequence, a: Fraction, b: Fraction, width: Fraction, chain=None) -> tuple:
+    """Shrink an isolating interval below `width` by sign bisection.
 
-    Works for roots of any multiplicity (no sign change required).  May
-    collapse to a ("point", q) marker when the root is rational.
+    q = p / gcd(p, p') (gcd: the last element of p's Sturm `chain`) has the
+    distinct roots of p, all simple, so the root lies left of a midpoint
+    exactly when q changes sign there, whatever its multiplicity in p.
+    Endpoints are integers A/D, B/D.  May collapse to a ("point", mid)
+    marker when the root is rational.
     """
-    chain = sturm_chain(p)
-    a, b = Fraction(a), Fraction(b)
-    while b - a > width:
-        mid = (a + b) / 2
-        if evaluate(p, mid) == 0:
-            return ("point", mid)
-        if count_real_roots(chain, a, mid) == 1:
-            b = mid
+    chain = chain or sturm_chain(p)
+    q = _content_free(div_rem(p, chain[-1])[0])
+    a, b, width = Fraction(a), Fraction(b), Fraction(width)
+    D = lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
+    left = _sign_scaled(q, A, D)
+    while (B - A) * width.denominator > width.numerator * D:
+        mid, A, B, D = A + B, 2 * A, 2 * B, 2 * D
+        s = _sign_scaled(q, mid, D)
+        if s == 0:
+            return ("point", Fraction(mid, D))
+        if s != left:
+            B = mid
         else:
-            a = mid
-    return ("interval", a, b)
-
-
-def largest_real_root(p: Sequence) -> tuple | None:
-    """Marker for the largest real root of p, or None if p has no real root."""
-    markers = isolate_real_roots(p)
-    return markers[-1] if markers else None
+            A = mid
+    return ("interval", Fraction(A, D), Fraction(B, D))
 
 
 def _top_root(p: Sequence, width: Fraction = _ROOT_WIDTH) -> tuple[float, int] | None:
     """Largest real root as a float, with the number of halvings that bring
     its isolating interval below `width` (0 for an exact rational root).
 
-    Exact isolation, count-based bisection, then one Newton polish that is
-    kept only when it stays within the final interval's width.
+    Exact isolation and sign bisection sharing one Sturm chain, then one
+    Newton polish that is kept only when it stays within the final
+    interval's width.
     """
-    marker = largest_real_root(p)
-    if marker is None:
+    chain = sturm_chain(p)
+    markers = isolate_real_roots(p, chain=chain)
+    if not markers:
         return None
+    marker = markers[-1]
     if marker[0] == "point":
         return float(marker[1]), 0
     halvings = 0
@@ -285,7 +315,7 @@ def _top_root(p: Sequence, width: Fraction = _ROOT_WIDTH) -> tuple[float, int] |
     while w > width:
         w /= 2
         halvings += 1
-    marker = refine_isolating(p, marker[1], marker[2], width)
+    marker = refine_isolating(p, marker[1], marker[2], width, chain=chain)
     if marker[0] == "point":
         return float(marker[1]), halvings
     a, b = marker[1], marker[2]

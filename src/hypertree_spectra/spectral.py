@@ -15,7 +15,8 @@ min_i (Bx)_i / x_i^(r-1) <= rho(B) <= max_i (...) driving the stopping
 rule.  Route two, for hyperforests, reads rho off the matching
 polynomial: substituting z = x^r turns phi into x^(n-nu*r) p(z), and rho
 is the r-th root of the largest real root of p, located by the shared
-top-root routine in `polynomials`: exact Sturm isolation, bisection, and
+top-root routine in `polynomials`: exact isolation on an integer Sturm
+chain, sign bisection on the square-free part in integer arithmetic, and
 a final Newton polish.
 """
 
@@ -33,7 +34,7 @@ from .hypergraph import (
     is_acyclic,
     restrict,
 )
-from .matching import _require_uniform_linear, matching_counts
+from .matching import MatchingProfile, _counts, _require_uniform_linear
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
@@ -176,7 +177,8 @@ def spectral_radius_polyroot(H: Hypergraph, with_residual: bool = False) -> Spec
         raise ValueError("polynomial-root method requires a hyperforest")
     if H.n == 0:
         raise ValueError("empty hypergraph has no spectrum")
-    profile = matching_counts(H)
+    # validated above: skip matching_counts' second check
+    profile = MatchingProfile(_counts(H))
     if profile.nu == 0:
         result = SpectralResult(0.0, "polyroot")
     else:

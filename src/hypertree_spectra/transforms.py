@@ -10,10 +10,11 @@ For hyperforests of equal order, T1 precedes T2 when
 phi(T1, x) >= phi(T2, x) for every x >= rho(T1), strictly when the
 difference also misses zero at x = rho(T1).  Both questions are decided
 exactly: substituting z = x^r turns the difference into an integer
-polynomial D(z), rho(T1)^r is isolated by Sturm bisection, vanishing of
-D there is a gcd computation, and the sign of D beyond is read off
-rational sample points between its isolated roots.  No verdict ever
-rests on floating point.
+polynomial D(z), rho(T1)^r is isolated by bisection on integer Sturm
+counts, vanishing of D there is a gcd computation, and the sign of D
+beyond is read off rational sample points between its isolated roots,
+each sign an integer evaluation (`polynomials.sign_at`).  No verdict
+ever rests on floating point.
 """
 
 from __future__ import annotations
@@ -124,17 +125,17 @@ def _top_root_marker(p: list[int]) -> tuple:
     """
     if poly.degree(p) <= 0:
         return ("point", Fraction(0))
-    marker = poly.largest_real_root(p)
-    if marker is None:
+    markers = poly.isolate_real_roots(p)
+    if not markers:
         raise RuntimeError("matching polynomial lost its real root")
-    return marker
+    return markers[-1]
 
 
 def _deflate_rational_root(p: list[int], q: Fraction) -> tuple[list, int]:
     """Divide out (z - q) as often as it divides p; returns (quotient, multiplicity)."""
     mult = 0
     current = [Fraction(c) for c in p]
-    while poly.evaluate(current, q) == 0 and poly.degree(current) >= 1:
+    while poly.sign_at(current, q) == 0 and poly.degree(current) >= 1:
         current = poly.div_rem(current, [-q, Fraction(1)])[0]
         mult += 1
     return current, mult
@@ -181,16 +182,14 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
             boundary_vanishes = False
         # shrink (lo, hi] until it holds no root of D besides possibly z1,
         # with endpoints avoiding the roots of both polynomials
-        p1f = [Fraction(c) for c in p1]
-        Df = [Fraction(c) for c in D]
         chain_p1 = poly.sturm_chain(p1)
         chain_D = poly.sturm_chain(D)
         want = 1 if boundary_vanishes else 0
         while True:
-            if poly.evaluate(Df, lo) != 0 and poly.evaluate(Df, hi) != 0:
+            if poly.sign_at(D, lo) != 0 and poly.sign_at(D, hi) != 0:
                 if poly.count_real_roots(chain_D, lo, hi) == want:
                     break
-            mid = poly.pick_nonroot([p1f, Df], lo, hi)
+            mid = poly.pick_nonroot([p1, D], lo, hi)
             if poly.count_real_roots(chain_p1, mid, hi) == 1:
                 lo = mid
             else:
@@ -210,7 +209,6 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
     if start >= bound:
         bound = start + 1
     markers = poly.isolate_real_roots(effective, lo=start, hi=bound)
-    eff_f = [Fraction(c) for c in effective]
     # one sample per gap between consecutive roots of `effective`:
     # `start` covers the gap before the first root, an interval marker's
     # right endpoint covers the gap after its root, and a rational root
@@ -221,11 +219,11 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
             gap_points.append(mk[2])
         else:
             nxt = markers[i + 1][1] if i + 1 < len(markers) else bound
-            gap_points.append(poly.pick_nonroot([eff_f], mk[1], nxt))
+            gap_points.append(poly.pick_nonroot([effective], mk[1], nxt))
     samples = []
     weak = True
     for pt in gap_points:
-        sign = 1 if poly.evaluate(eff_f, pt) > 0 else -1
+        sign = 1 if poly.sign_at(effective, pt) > 0 else -1
         samples.append([str(pt), sign])
         if sign < 0:
             weak = False

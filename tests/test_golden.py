@@ -23,6 +23,10 @@ RHO_P4_POLY = (
     '"rho": 1.618033988749895, "residual": null, "iterations": 48}\n'
 )
 
+BOUND_733 = '{"q": 1, "s": 0, "l": 3, "alpha0": 0.8179995807336579, "rho": 1.7645848132290711}\n'
+
+BOUND_514 = '{"q": 0, "s": 0, "l": 4, "alpha0": 0.8, "rho": 1.4953487812212205}\n'
+
 SUITE_CSV = (
     "m,k,r,q,s,l,classes,winner_code,winner_rho,bound_rho,unique,matches_bound\n"
     "5,3,2,2,0,0,2,r2:v(e(v())e(v(e(v())))e(v(e(v())))),1.931851652578,1.931851652578,True,True\n"
@@ -82,6 +86,13 @@ def test_rho_poly_stdout(capsys, tmp_path):
     save(Hypergraph(2, 4, ((0, 1), (1, 2), (2, 3))), str(path))
     assert main(["rho", str(path), "--method", "poly"]) == 0
     assert capsys.readouterr().out == RHO_P4_POLY
+
+
+def test_bound_stdout(capsys):
+    assert main(["bound", "7", "3", "3"]) == 0
+    assert capsys.readouterr().out == BOUND_733
+    assert main(["bound", "5", "1", "4"]) == 0
+    assert capsys.readouterr().out == BOUND_514
 
 
 def test_suite_reports():
