@@ -11,13 +11,13 @@ maximum root in (0, 1) of
     x^(r-1) * (1/(1-x) - x^(-s) - l) = q,
 
 which specializes, for hypertrees with a perfect matching, to
-r x^r = (m - 1)(1 - x).
+r x^r = (m - 1)(1 - x).  Both bounds take alpha0 from exact root
+isolation on an integer polynomial, as the double nearest the root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 from . import polynomials as poly
@@ -199,43 +199,6 @@ def build_A(m: int, k: int, r: int) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
-class BracketingError(RuntimeError):
-    """Root bracketing failed; carries the scanned points for diagnosis."""
-
-    def __init__(self, message: str, trace: list[tuple[float, float]]):
-        super().__init__(message)
-        self.trace = trace
-
-
-def _bisect_newton(g, dg, neg_end: float, pos_end: float, width: float = 1e-14) -> float:
-    """Locate the crossing on a bracket with g(neg_end) <= 0 < g(pos_end).
-
-    Plain bisection down to `width`, then a few Newton steps confined to
-    the bracket; the endpoints may arrive in either order.
-    """
-    a, b = neg_end, pos_end
-    while abs(b - a) > width:
-        mid = (a + b) / 2
-        if g(mid) > 0:
-            b = mid
-        else:
-            a = mid
-    lo, hi = min(a, b), max(a, b)
-    x = (a + b) / 2
-    for _ in range(4):
-        d = dg(x)
-        if d == 0:
-            break
-        step = g(x) / d
-        nxt = x - step
-        if not lo - width <= nxt <= hi + width:
-            break
-        x = nxt
-        if abs(step) < 1e-16:
-            break
-    return x
-
-
 def _cleared_bound_poly(r: int, q: int, s: int, l: int) -> list[int]:
     """G(a) = a^s (1-a) g(a) = a^(r-1+s) - (1-a) (a^(r-1) + l a^(r-1+s) + q a^s):
     integer coefficients, degree <= r + s, and g's sign on (0, 1)."""
@@ -245,76 +208,22 @@ def _cleared_bound_poly(r: int, q: int, s: int, l: int) -> list[int]:
     return G
 
 
-def _certify_maximum_root(G: list[int], alpha0: float, grid: int = 10**4) -> None:
-    """Check exactly that g, of G's sign on (0, 1), has no root in [c, 1)
-    for c = alpha0 + (1 - alpha0)/grid: G(c) > 0 and, as G(1) = 1, no
-    Sturm-counted root in (c, 1].  The trace holds (x, G(x)) at c and at
-    the midpoint of each isolated root of G above c.
-    """
-    c = Fraction(alpha0) + (1 - Fraction(alpha0)) / grid
-    if poly.sign_at(G, c) <= 0:
-        bad = [c]
-    elif poly.count_real_roots(poly.sturm_chain(G), c, 1):
-        bad = [c] + [(mk[1] + mk[-1]) / 2 for mk in poly.isolate_real_roots(G, c, 1)]
-    else:
-        return
-    raise BracketingError(
-        f"root of the bound equation above alpha0={alpha0!r}; not the maximum root",
-        [(float(x), float(poly.evaluate(G, x))) for x in bad],
-    )
-
-
 def rho_bound(m: int, k: int, r: int) -> BoundResult:
     """Closed-form spectral-radius bound for hypertrees with a k-matching.
 
     alpha0 is the maximum root in (0, 1) of
-    g(a) = a^(r-1) (1/(1-a) - a^(-s) - l) - q, found by scanning a
-    geometric grid down from 1 (where g -> +inf) for the sign change
-    nearest 1, then bisecting.  rho = (1/(1-alpha0))^(1/r).  An exact
-    Sturm count on G(a) = a^s (1-a) g(a) certifies that no root lies above.
+    g(a) = a^(r-1) (1/(1-a) - a^(-s) - l) - q, which is the largest root
+    in (0, 1) of the integer polynomial G(a) = a^s (1-a) g(a) with its
+    power of a divided out.  rho = (1/(1-alpha0))^(1/r).
     """
     p = extremal_params(m, k, r)
     if not p.feasible:
         raise InfeasibleParameters(f"no hypertree with m={m}, k={k}, r={r}")
-    q, s, l = p.q, p.s, p.l
-    if q == 0 and s == 0 and l == 0:
+    if p.q == 0 and p.s == 0 and p.l == 0:
         return BoundResult(alpha0=0.0, rho=1.0)
-
-    def g(a: float) -> float:
-        recip = 1.0 if s == 0 else a**-s
-        return a ** (r - 1) * (1.0 / (1.0 - a) - recip - l) - q
-
-    def dg(a: float) -> float:
-        out = (r - 1) * a ** (r - 2) / (1.0 - a) + a ** (r - 1) / (1.0 - a) ** 2
-        out -= (r - 1 - s) * a ** (r - 2 - s)
-        out -= l * (r - 1) * a ** (r - 2)
-        return out
-
-    # geometric grid covering (0, 1) densely near both ends, scanned from 1
-    alphas = []
-    delta = 1e-12
-    while delta < 1.0:
-        alphas.append(1.0 - delta)
-        delta *= 2
-    while alphas[-1] > 1e-15:
-        alphas.append(alphas[-1] / 2)
-    trace = []
-    prev = None
-    bracket = None
-    for alpha in alphas:
-        val = g(alpha)
-        trace.append((alpha, val))
-        if val <= 0:
-            bracket = (alpha, prev)
-            break
-        prev = alpha
-    if bracket is None or bracket[1] is None:
-        raise BracketingError(
-            f"no sign change of the bound equation in (0, 1) for m={m}, k={k}, r={r}",
-            trace,
-        )
-    alpha0 = _bisect_newton(g, dg, bracket[0], bracket[1])
-    _certify_maximum_root(_cleared_bound_poly(r, q, s, l), alpha0)
+    G = _cleared_bound_poly(r, p.q, p.s, p.l)
+    G = G[next(i for i, c in enumerate(G) if c) :]
+    alpha0 = poly.largest_real_root_float(G, 0, 1)
     return BoundResult(alpha0=alpha0, rho=(1.0 / (1.0 - alpha0)) ** (1.0 / r))
 
 
@@ -331,12 +240,5 @@ def perfect_matching_bound(m: int, r: int) -> BoundResult:
         )
     if m == 1:
         return BoundResult(alpha0=0.0, rho=1.0)
-
-    def g(a: float) -> float:
-        return (m - 1) * (1.0 - a) - r * a**r
-
-    def dg(a: float) -> float:
-        return -(m - 1) - r * r * a ** (r - 1)
-
-    alpha0 = _bisect_newton(g, dg, neg_end=1.0, pos_end=0.0)
+    alpha0 = poly.largest_real_root_float([1 - m, m - 1] + [0] * (r - 2) + [r], 0, 1)
     return BoundResult(alpha0=alpha0, rho=(1.0 / (1.0 - alpha0)) ** (1.0 / r))

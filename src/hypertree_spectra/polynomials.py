@@ -16,7 +16,7 @@ square-free part at dyadic points (Rouillier & Zimmermann, JCAM 162,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, nextafter
 from typing import Sequence
 
 Dense = list
@@ -230,7 +230,7 @@ def isolate_real_roots(p: Sequence, lo=None, hi=None, chain=None) -> list[tuple]
     p = trim(p)
     if len(p) <= 1:
         return []
-    bound = cauchy_bound(p) + 1
+    bound = cauchy_bound(p) + 1 if lo is None or hi is None else None
     lo = Fraction(lo) if lo is not None else -bound
     hi = Fraction(hi) if hi is not None else bound
     if sign_at(p, lo) == 0 or sign_at(p, hi) == 0:
@@ -238,10 +238,11 @@ def isolate_real_roots(p: Sequence, lo=None, hi=None, chain=None) -> list[tuple]
     chain = chain or sturm_chain(p)
     out: list[tuple] = []
 
-    def rec(a: Fraction, b: Fraction, cnt: int) -> None:
-        if cnt == 0:
+    # va, vb: sign variations of the chain at a and b, evaluated once per point
+    def rec(a: Fraction, b: Fraction, va: int, vb: int) -> None:
+        if va == vb:
             return
-        if cnt == 1:
+        if va - vb == 1:
             out.append(("interval", a, b))
             return
         mid = (a + b) / 2
@@ -249,23 +250,28 @@ def isolate_real_roots(p: Sequence, lo=None, hi=None, chain=None) -> list[tuple]
             eps = (b - a) / 4
             while True:
                 l2, r2 = mid - eps, mid + eps
-                if (
-                    sign_at(p, l2) != 0
-                    and sign_at(p, r2) != 0
-                    and count_real_roots(chain, l2, r2) == 1
-                ):
-                    break
+                if sign_at(p, l2) != 0 and sign_at(p, r2) != 0:
+                    vl, vr = _variations(chain, l2), _variations(chain, r2)
+                    if vl - vr == 1:
+                        break
                 eps /= 2
-            rec(a, l2, count_real_roots(chain, a, l2))
+            rec(a, l2, va, vl)
             out.append(("point", mid))
-            rec(r2, b, count_real_roots(chain, r2, b))
+            rec(r2, b, vr, vb)
         else:
-            left = count_real_roots(chain, a, mid)
-            rec(a, mid, left)
-            rec(mid, b, cnt - left)
+            vm = _variations(chain, mid)
+            rec(a, mid, va, vm)
+            rec(mid, b, vm, vb)
 
-    rec(lo, hi, count_real_roots(chain, lo, hi))
+    rec(lo, hi, _variations(chain, lo), _variations(chain, hi))
     return out
+
+
+def _square_free(chain: list[Dense]) -> Dense:
+    """A multiple of p / gcd(p, p') from p's Sturm chain (p first, the gcd last)."""
+    if len(chain[-1]) == 1:
+        return chain[0]
+    return _content_free(div_rem(chain[0], chain[-1])[0])
 
 
 def refine_isolating(p: Sequence, a: Fraction, b: Fraction, width: Fraction, chain=None) -> tuple:
@@ -277,8 +283,7 @@ def refine_isolating(p: Sequence, a: Fraction, b: Fraction, width: Fraction, cha
     Endpoints are integers A/D, B/D.  May collapse to a ("point", mid)
     marker when the root is rational.
     """
-    chain = chain or sturm_chain(p)
-    q = _content_free(div_rem(p, chain[-1])[0])
+    q = _square_free(chain or sturm_chain(p))
     a, b, width = Fraction(a), Fraction(b), Fraction(width)
     D = lcm(a.denominator, b.denominator)
     A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
@@ -330,10 +335,41 @@ def _top_root(p: Sequence, width: Fraction = _ROOT_WIDTH) -> tuple[float, int] |
     return x, halvings
 
 
-def largest_real_root_float(p: Sequence, width: Fraction = _ROOT_WIDTH) -> float | None:
-    """Largest real root as a float: exact isolation, then one Newton polish."""
-    top = _top_root(p, width)
-    return None if top is None else top[0]
+def largest_real_root_float(p: Sequence, lo=None, hi=None) -> float | None:
+    """The double nearest the largest real root of p in (lo, hi), or None.
+
+    The root is isolated on p's integer Sturm chain, then bracketed by
+    sign bisection on the square-free part (as in `refine_isolating`)
+    until both ends round to the same double.  Once they round to two
+    adjacent doubles, the sign at the midpoint of those doubles decides
+    which is nearer; a root exactly there is rounded half to even.
+    """
+    chain = sturm_chain(p)
+    markers = isolate_real_roots(p, lo, hi, chain=chain)
+    if not markers:
+        return None
+    if markers[-1][0] == "point":
+        return float(markers[-1][1])
+    _, a, b = markers[-1]
+    q = _square_free(chain)
+    D = lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
+    left = _sign_scaled(q, A, D)
+    fa, fb = A / D, B / D  # only the end that moves needs a new division
+    while fa != fb:
+        if nextafter(fa, fb) == fb:
+            tie = (Fraction(fa) + Fraction(fb)) / 2
+            s = sign_at(q, tie)
+            return float(tie) if s == 0 else fa if s != left else fb
+        mid, A, B, D = A + B, 2 * A, 2 * B, 2 * D
+        s, fm = _sign_scaled(q, mid, D), mid / D
+        if s == 0:
+            return fm
+        if s != left:
+            B, fb = mid, fm
+        else:
+            A, fa = mid, fm
+    return fa
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ ever rests on floating point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -118,14 +119,15 @@ def edge_release(H: Hypergraph, e: Iterable[int]) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
-def _top_root_marker(p: list[int]) -> tuple:
-    """Largest real root of p as ('point', q) or ('interval', a, b).
+def _top_root_marker(p: list[int], chain: list) -> tuple:
+    """Largest real root of p as ('point', q) or ('interval', a, b), isolated
+    on p's Sturm `chain`.
 
     Degree-zero p (an edgeless hyperforest) pins the boundary at z = 0.
     """
     if poly.degree(p) <= 0:
         return ("point", Fraction(0))
-    markers = poly.isolate_real_roots(p)
+    markers = poly.isolate_real_roots(p, chain=chain)
     if not markers:
         raise RuntimeError("matching polynomial lost its real root")
     return markers[-1]
@@ -158,8 +160,10 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
         witness["leading_sign"] = -1
         return False, False, witness
     witness["leading_sign"] = 1
+    # one Sturm chain per distinct polynomial (as a tuple) in this call
+    chain_of = functools.cache(poly.sturm_chain)
 
-    marker = _top_root_marker(p1)
+    marker = _top_root_marker(p1, chain_of(tuple(p1)))
     if marker[0] == "point":
         z1 = marker[1]
         witness["boundary"] = [str(z1), str(z1)]
@@ -176,15 +180,13 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
         # interval of z1 (any root of the gcd inside it must be z1 itself)
         g = poly.poly_gcd(p1, D)
         if poly.degree(g) >= 1:
-            gchain = poly.sturm_chain(g)
-            boundary_vanishes = poly.count_real_roots(gchain, lo, hi) >= 1
+            boundary_vanishes = poly.count_real_roots(chain_of(tuple(g)), lo, hi) >= 1
         else:
             boundary_vanishes = False
         # shrink (lo, hi] until it holds no root of D besides possibly z1,
         # with endpoints avoiding the roots of both polynomials
-        chain_p1 = poly.sturm_chain(p1)
-        chain_D = poly.sturm_chain(D)
         want = 1 if boundary_vanishes else 0
+        chain_p1, chain_D = chain_of(tuple(p1)), chain_of(tuple(D))
         while True:
             if poly.sign_at(D, lo) != 0 and poly.sign_at(D, hi) != 0:
                 if poly.count_real_roots(chain_D, lo, hi) == want:
@@ -208,7 +210,7 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
     bound = poly.cauchy_bound(effective) + 1
     if start >= bound:
         bound = start + 1
-    markers = poly.isolate_real_roots(effective, lo=start, hi=bound)
+    markers = poly.isolate_real_roots(effective, lo=start, hi=bound, chain=chain_of(tuple(effective)))
     # one sample per gap between consecutive roots of `effective`:
     # `start` covers the gap before the first root, an interval marker's
     # right endpoint covers the gap after its root, and a rational root

@@ -6,9 +6,11 @@ power route is left out because its last digits follow numpy's float
 summation order.
 """
 
+import hashlib
+
 from hypertree_spectra import Hypergraph, save
 from hypertree_spectra.cli import main
-from hypertree_spectra.harness import SuiteConfig, run_suite
+from hypertree_spectra.harness import SuiteConfig, default_config, run_suite
 
 VERIFY_633 = (
     '{"m": 6, "k": 3, "r": 3, "classes": 11, "winner_code": '
@@ -26,6 +28,14 @@ RHO_P4_POLY = (
 BOUND_733 = '{"q": 1, "s": 0, "l": 3, "alpha0": 0.8179995807336579, "rho": 1.7645848132290711}\n'
 
 BOUND_514 = '{"q": 0, "s": 0, "l": 4, "alpha0": 0.8, "rho": 1.4953487812212205}\n'
+
+BOUND_433_PERFECT = (
+    '{"q": 1, "s": 0, "l": 0, "alpha0": 0.6823278038280193, "rho": 1.465571231876768}\n'
+)
+
+# sha256 of the default suite's reports (72 rows)
+DEFAULT_SUITE_CSV_SHA256 = "10c03ec6cc9de33722f49ebba6842de8874524b9e865968703756a7867ef8632"
+DEFAULT_SUITE_JSON_SHA256 = "5f67c7bd24697d84b065fdb141aa06783e629624a9a4c0af83c89a250d4187ec"
 
 SUITE_CSV = (
     "m,k,r,q,s,l,classes,winner_code,winner_rho,bound_rho,unique,matches_bound\n"
@@ -93,6 +103,8 @@ def test_bound_stdout(capsys):
     assert capsys.readouterr().out == BOUND_733
     assert main(["bound", "5", "1", "4"]) == 0
     assert capsys.readouterr().out == BOUND_514
+    assert main(["bound", "4", "3", "3", "--perfect"]) == 0
+    assert capsys.readouterr().out == BOUND_433_PERFECT
 
 
 def test_suite_reports():
@@ -100,3 +112,10 @@ def test_suite_reports():
     assert result.exit_code == 0
     assert result.csv_text == SUITE_CSV
     assert result.json_text == SUITE_JSON
+
+
+def test_default_suite_digests():
+    result = run_suite(default_config())
+    assert len(result.csv_text.splitlines()) == 73
+    assert hashlib.sha256(result.csv_text.encode()).hexdigest() == DEFAULT_SUITE_CSV_SHA256
+    assert hashlib.sha256(result.json_text.encode()).hexdigest() == DEFAULT_SUITE_JSON_SHA256

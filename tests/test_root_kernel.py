@@ -1,24 +1,26 @@
 """The integer root kernel against plain references.
 
 `sign_at` against `evaluate` over Fractions, sign bisection in
-`refine_isolating` against bisection on Sturm counts, and the exact
-certificate behind `rho_bound`.
+`refine_isolating` against bisection on Sturm counts, and the doubles
+handed out by `largest_real_root_float` (behind both closed-form bounds)
+against exact Sturm counts around them.
 """
 
+import math
 import random
 from fractions import Fraction
 
-import pytest
-
 from hypertree_spectra import (
-    BracketingError,
+    InfeasibleParameters,
     disjoint_union,
     enumerate_hypertrees,
     extremal_params,
     matching_counts,
+    perfect_matching_bound,
+    rho_bound,
 )
 from hypertree_spectra import polynomials as poly
-from hypertree_spectra.constructions import _certify_maximum_root, _cleared_bound_poly
+from hypertree_spectra.constructions import _cleared_bound_poly
 
 from conftest import path_graph
 
@@ -118,21 +120,97 @@ def test_cleared_bound_poly_is_g_times_positive_factor():
                     assert poly.evaluate(G, a) == a**s * (1 - a) * g
 
 
-def test_certificate_rejects_larger_root():
-    alpha0 = 0.5
-    # roots 4/5 and 9/10 above alpha0, positive at c and at 1
-    G = poly.mul([-9, 10], [-8, 10])
-    with pytest.raises(BracketingError) as info:
-        _certify_maximum_root(G, alpha0)
-    points = [x for x, _ in info.value.trace]
-    assert points[0] == pytest.approx(0.50005)
-    assert len(points) == 3 and all(0.5 < x < 1 for x in points)
-    # a double root touches zero without a sign change
-    with pytest.raises(BracketingError):
-        _certify_maximum_root(poly.mul([-9, 10], [-9, 10]), alpha0)
-    # negative just above alpha0
-    with pytest.raises(BracketingError) as info:
-        _certify_maximum_root([-9, 10], alpha0)
-    assert len(info.value.trace) == 1 and info.value.trace[0][1] < 0
-    # a root below alpha0 only: certified
-    _certify_maximum_root([-2, 10], alpha0)
+def _assert_nearest_double(p, x, hi=None):
+    """x is the double nearest the largest real root of p below hi: the
+    reals that round to x (halfway to each neighbouring double) hold a
+    root of p and none lies between them and hi.  Exact Sturm counts."""
+    chain = poly.sturm_chain(p)
+    top = Fraction(hi) if hi is not None else poly.cauchy_bound(p) + 1
+    below = (Fraction(x) + Fraction(math.nextafter(x, -math.inf))) / 2
+    above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    assert poly.sign_at(p, below) != 0 and poly.sign_at(p, above) != 0
+    assert above < top
+    assert poly.count_real_roots(chain, below, above) >= 1
+    assert poly.count_real_roots(chain, above, top) == 0
+
+
+def test_nearest_double_on_planted_roots():
+    rng = random.Random(8)
+    for _ in range(150):
+        p = [rng.randint(-20, 20) for _ in range(rng.randint(1, 6))] + [rng.randint(1, 20)]
+        for _ in range(rng.randint(1, 3)):
+            root = [-rng.randint(-60, 60), rng.randint(1, 12)]  # d z - n
+            for _ in range(rng.randint(1, 3)):
+                p = poly.mul(p, root)
+        x = poly.largest_real_root_float(p)
+        if x is None:
+            assert poly.isolate_real_roots(p) == []
+        else:
+            _assert_nearest_double(p, x)
+
+
+def test_nearest_double_on_matching_polynomials():
+    polys, doubles = _corpus()
+    for p in polys + doubles:
+        _assert_nearest_double(p, poly.largest_real_root_float(p))
+
+
+def test_bounds_are_nearest_doubles():
+    for r in range(2, 6):
+        for m in range(1, 13):
+            for k in range(1, m + 1):
+                ep = extremal_params(m, k, r)
+                if not ep.feasible or ep.q == ep.s == ep.l == 0:
+                    continue
+                # G keeps its roots at 0; the cell around alpha0 lies above them
+                G = _cleared_bound_poly(r, ep.q, ep.s, ep.l)
+                _assert_nearest_double(G, rho_bound(m, k, r).alpha0, hi=1)
+    cases = 0
+    for r in range(2, 7):
+        for m in range(2, 61):
+            try:
+                alpha0 = perfect_matching_bound(m, r).alpha0
+            except InfeasibleParameters:
+                continue
+            # r a^r - (m-1)(1-a)
+            _assert_nearest_double(poly.sub(poly.mul_xpow([r], r), [m - 1, 1 - m]), alpha0, hi=1)
+            cases += 1
+    assert cases > 50
+
+
+def test_root_halfway_between_doubles():
+    # (2^53 z - num)(3z + 1): the top root num / 2^53 lies exactly halfway
+    # between two doubles, and its isolating interval is not dyadic, so no
+    # bisection midpoint ever lands on it
+    ulp = 2**-52  # spacing of the doubles in [1, 2)
+    for num, lower, upper, expected in (
+        (2**53 + 1, 1.0, 1.0 + ulp, 1.0),
+        (2**53 + 3, 1.0 + ulp, 1.0 + 2 * ulp, 1.0 + 2 * ulp),
+    ):
+        assert math.nextafter(lower, 2.0) == upper
+        assert Fraction(num, 2**53) == (Fraction(lower) + Fraction(upper)) / 2
+        p = poly.mul([-num, 2**53], [1, 3])
+        marker = poly.isolate_real_roots(p)[-1]
+        assert marker[0] == "interval"
+        assert any(d & (d - 1) for d in (marker[1].denominator, marker[2].denominator))
+        # rounded half to even, as float() rounds the exact rational
+        assert poly.largest_real_root_float(p) == float(Fraction(num, 2**53)) == expected
+
+
+def test_isolation_evaluates_each_point_once(monkeypatch):
+    seen = []
+    variations = poly._variations
+
+    def counted(chain, x):
+        seen.append(Fraction(x))
+        return variations(chain, x)
+
+    monkeypatch.setattr(poly, "_variations", counted)
+    polys, doubles = _corpus()
+    # z^2 (z - 3)(2z + 1): the first midpoint, 0, is a root
+    polys.append(poly.mul(poly.mul([0, 0, 1], [-3, 1]), [1, 2]))
+    for p in polys + doubles:
+        seen.clear()
+        markers = poly.isolate_real_roots(p)
+        assert len(markers) >= 1
+        assert len(seen) == len(set(seen)), p

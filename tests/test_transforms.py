@@ -132,6 +132,38 @@ def test_strict_verdicts_match_rho():
                     assert rb < ra - 1e-9
 
 
+def test_compare_order_chains_each_polynomial_once(monkeypatch):
+    """One verdict builds one Sturm chain per distinct polynomial."""
+    from hypertree_spectra import disjoint_union, random_hyperforest
+    from hypertree_spectra import polynomials as poly
+
+    seen = []
+    build = poly.sturm_chain
+
+    def counted(p):
+        seen.append(tuple(p))
+        return build(p)
+
+    monkeypatch.setattr(poly, "sturm_chain", counted)
+    rng = random.Random(7)
+    pairs = [
+        (Hypergraph(3, 11, [(0, 1, 2), (0, 3, 4)]),
+         Hypergraph(3, 11, [(0, 1, 2), (1, 3, 4), (5, 6, 7), (8, 9, 10)])),
+    ]
+    for _ in range(40):
+        r, m = rng.choice((2, 3)), rng.randint(2, 9)
+        pairs.append((random_hypertree(m, r, rng), random_hypertree(m, r, rng)))
+        t = random_hypertree(m, r, rng)
+        pairs.append((disjoint_union(t, t), random_hyperforest([m - 1, m + 1], r, rng)))
+    tags = set()
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            seen.clear()
+            tags.add(compare_order(x, y).tag)
+            assert len(seen) == len(set(seen))
+    assert {"precedes_strict", "precedes_weak", "incomparable"} <= tags
+
+
 def test_edge_deletion_precedes_strict():
     """A proper same-order partial hyperforest sits strictly below."""
     for m in range(1, 5):
