@@ -9,19 +9,21 @@ which reports findings instead of raising.
 
 Acyclicity is decided on the bipartite vertex-edge incidence graph: a
 linear hypergraph is acyclic exactly when that graph is a forest.  On
-hyperforests the incidence forest also drives canonical codes,
-isomorphism tests, and automorphism counts, all from one iterative AHU
-pass that roots each incidence tree at its center.  The center is
-unique: every edge holds at least two vertices, so every leaf of an
-incidence tree is a vertex node, any two leaves lie at even distance in
-the bipartite incidence graph, and the diameter is even.  All operations
-are pure functions over immutable values.
+hyperforests one iterative walk of the incidence forest, rooting each
+incidence tree at its center and visiting children before parents,
+drives both the AHU pass behind canonical codes, isomorphism tests and
+automorphism counts, and the matching-count DP in `matching`.  The
+center is unique: every edge holds at least two vertices, so every leaf
+of an incidence tree is a vertex node, any two leaves lie at even
+distance in the bipartite incidence graph, and the diameter is even.
+All operations are pure functions over immutable values.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 CanonicalCode = bytes
@@ -104,13 +106,14 @@ def single_edge(r: int) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
-def _forest_scan(H: Hypergraph) -> tuple[bool, int, Callable[[int], int]]:
-    """(acyclic, component count, find) via union-find over vertices.
+def _forest_scan(H: Hypergraph) -> tuple[Optional[tuple[int, ...]], int, Callable[[int], int]]:
+    """(cycle edge, component count, find) via union-find over vertices.
 
     `find` maps a vertex to its component's root.  An edge whose vertices
     already meet a common component closes a cycle in the incidence graph;
     this matches the walk-based cycle notion for linear hypergraphs and
-    flags any pair of edges sharing >= 2 vertices.
+    flags any pair of edges sharing >= 2 vertices.  The first such edge is
+    returned (None on a hyperforest).
     """
     parent = list(range(H.n))
 
@@ -120,22 +123,22 @@ def _forest_scan(H: Hypergraph) -> tuple[bool, int, Callable[[int], int]]:
             x = parent[x]
         return x
 
-    acyclic = True
+    cycle_edge = None
     components = H.n
     for e in H.edges:
         root = find(e[0])
         for v in e[1:]:
             other = find(v)
             if other == root:
-                acyclic = False
+                cycle_edge = cycle_edge or e
             else:
                 parent[other] = root
                 components -= 1
-    return acyclic, components, find
+    return cycle_edge, components, find
 
 
 def is_acyclic(H: Hypergraph) -> bool:
-    return _forest_scan(H)[0]
+    return _forest_scan(H)[0] is None
 
 
 def is_connected(H: Hypergraph) -> bool:
@@ -153,15 +156,20 @@ def validate(H: Hypergraph) -> ValidationReport:
         if len(e) != H.r:
             uniform = False
             violations.append(f"edge {e} has {len(e)} vertices, expected {H.r}")
-    linear = True
-    for i, a in enumerate(H.edges):
-        sa = set(a)
-        for b in H.edges[i + 1 :]:
-            shared = sa.intersection(b)
-            if len(shared) > 1:
-                linear = False
-                violations.append(f"edges {a} and {b} share {len(shared)} vertices")
-    acyclic, components, _ = _forest_scan(H)
+    # edge pairs sharing two or more vertices meet at a common vertex pair
+    holders: dict[tuple[int, int], list[int]] = {}
+    clashes = set()
+    for j, e in enumerate(H.edges):
+        for pair in combinations(e, 2):
+            earlier = holders.setdefault(pair, [])
+            clashes.update((i, j) for i in earlier)
+            earlier.append(j)
+    for i, j in sorted(clashes):
+        a, b = H.edges[i], H.edges[j]
+        violations.append(f"edges {a} and {b} share {len(set(a).intersection(b))} vertices")
+    linear = not clashes
+    cycle_edge, components, _ = _forest_scan(H)
+    acyclic = cycle_edge is None
     connected = components <= 1
     if not connected:
         violations.append(f"{components} connected components")
@@ -251,11 +259,7 @@ def disjoint_union(G: Hypergraph, H: Hypergraph) -> Hypergraph:
 
 def connected_components(H: Hypergraph) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted, in sorted order."""
-    return _components(H, _forest_scan(H)[2])
-
-
-def _components(H: Hypergraph, find: Callable[[int], int]) -> list[list[int]]:
-    """connected_components from the `find` of a `_forest_scan` already made."""
+    find = _forest_scan(H)[2]
     groups: dict[int, list[int]] = {}
     for v in range(H.n):
         groups.setdefault(find(v), []).append(v)
@@ -329,17 +333,6 @@ def common_vertex(H: Hypergraph, edges: Iterable[Iterable[int]]) -> Optional[int
 # ---------------------------------------------------------------------------
 
 
-def _incidence_adjacency(H: Hypergraph) -> list[list[int]]:
-    """Adjacency of the incidence graph: nodes 0..n-1 vertices, n..n+m-1 edges."""
-    adj: list[list[int]] = [[] for _ in range(H.n + H.m)]
-    for j, e in enumerate(H.edges):
-        node = H.n + j
-        for v in e:
-            adj[v].append(node)
-            adj[node].append(v)
-    return adj
-
-
 def _tree_center(adj: list[list[int]], nodes: list[int]) -> int:
     """Center node of an incidence tree by iterative leaf removal.
 
@@ -385,18 +378,22 @@ def _merge(parts: list[tuple[str, int]]) -> tuple[str, int]:
     return "".join(code for code, _ in parts), aut
 
 
-def _forest_code(H: Hypergraph) -> tuple[str, int]:
-    """AHU code of the incidence forest and the order of its automorphism group.
+def _incidence_walk(H: Hypergraph) -> tuple[list[int], list[int]]:
+    """Nodes of the incidence forest, parents first, and the parent of each.
 
-    One iterative pass per component: gather its nodes, root it at its
-    center, then encode children before parents (reverse BFS order), so
-    no depth of input reaches the call stack.
+    Nodes 0..n-1 are vertices, n..n+m-1 edges.  Each incidence tree is
+    rooted at its center (parent -1) and listed in BFS order, so
+    reversed(order) visits children before parents.  Iterative, so no
+    depth of input reaches the call stack.  Acyclic input only.
     """
-    adj = _incidence_adjacency(H)
+    adj: list[list[int]] = [[] for _ in range(H.n + H.m)]
+    for j, e in enumerate(H.edges):
+        for v in e:
+            adj[v].append(H.n + j)
+            adj[H.n + j].append(v)
     seen = [False] * len(adj)
     parent = [-1] * len(adj)
-    # encoded subtrees awaiting their parent; component roots wait under -1
-    below: dict[int, list[tuple[str, int]]] = {}
+    order: list[int] = []
     for start in range(H.n):
         if seen[start]:
             continue
@@ -407,18 +404,26 @@ def _forest_code(H: Hypergraph) -> tuple[str, int]:
                 if not seen[y]:
                     seen[y] = True
                     nodes.append(y)
-        root = _tree_center(adj, nodes)
-        order = [root]
-        parent[root] = -1
-        for x in order:
+        tree = [_tree_center(adj, nodes)]
+        for x in tree:
             for y in adj[x]:
                 if y != parent[x]:
                     parent[y] = x
-                    order.append(y)
-        for x in reversed(order):
-            code, aut = _merge(below.pop(x, []))
-            tag = "v(" if x < H.n else "e("
-            below.setdefault(parent[x], []).append((tag + code + ")", aut))
+                    tree.append(y)
+        order += tree
+    return order, parent
+
+
+def _forest_code(H: Hypergraph) -> tuple[str, int]:
+    """AHU code of the incidence forest and the order of its automorphism
+    group, encoded children before parents."""
+    order, parent = _incidence_walk(H)
+    # encoded subtrees awaiting their parent; tree roots wait under -1
+    below: dict[int, list[tuple[str, int]]] = {}
+    for x in reversed(order):
+        code, aut = _merge(below.pop(x, []))
+        tag = "v(" if x < H.n else "e("
+        below.setdefault(parent[x], []).append((tag + code + ")", aut))
     return _merge(below.pop(-1, []))
 
 

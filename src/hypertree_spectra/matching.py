@@ -1,9 +1,11 @@
 """Exact matching counts and the matching polynomial.
 
-Counts m(H, k) of k-matchings are computed with the edge-deletion
-recurrence m(H, k) = m(H \\ e, k) + m(H - V(e), k - 1), splitting on a
-pendent edge whenever the input is acyclic so both branches stay
-hyperforests and memoize by canonical code.  Everything is arbitrary
+Counts m(H, k) of k-matchings of a hyperforest come from one pass over
+each incidence tree, children before parents (the tree recurrence for
+matching polynomials).  Only cyclic input uses the edge-deletion
+recurrence m(H, k) = m(H \\ e, k) + m(H - V(e), k - 1), one component at
+a time, branching on an edge that closes a cycle, so its depth grows with
+the number of independent cycles, not with m.  Everything is arbitrary
 precision; the brute-force subset enumerator is kept as an independent
 oracle.
 
@@ -17,16 +19,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 from . import polynomials as poly
 from .hypergraph import (
     Hypergraph,
-    _components,
-    _forest_code,
     _forest_scan,
+    _incidence_walk,
     delete_edge,
     delete_edge_closed,
-    restrict,
     validate,
 )
 
@@ -116,48 +117,56 @@ class MatchPoly:
         return cls.from_json_dict(json.loads(text))
 
 
-def _pendent_edge(H: Hypergraph) -> tuple[int, ...]:
-    deg = [0] * H.n
-    for e in H.edges:
-        for v in e:
-            deg[v] += 1
-    for e in H.edges:
-        if sum(1 for v in e if deg[v] == 1) == len(e) - 1:
-            return e
-    return H.edges[0]
+def _forest_counts(H: Hypergraph) -> list[int]:
+    """Counts of a hyperforest as a polynomial in t, children before parents.
+
+    Each node x carries (full, free): the matchings below x, all of them
+    and those leaving x out (for an edge node: not using the edge).
+    """
+    order, parent = _incidence_walk(H)
+    # (full, free) folded so far from the children of each node; the
+    # forest's tree roots multiply into node -1
+    below: dict[int, tuple[list[int], list[int]]] = {}
+    for x in reversed(order):
+        full, free = below.pop(x, ([1], [1]))
+        if x >= H.n:  # an edge: the products over its vertices become (full, free)
+            full, free = poly.add(full, [0] + free), full
+        p = parent[x]
+        a, f = below.get(p, ([1], [1]))
+        if x >= H.n and p >= 0:  # edge x covers vertex p, or stays out
+            a = poly.add(poly.mul(a, free), poly.mul(f, poly.sub(full, free)))
+        else:
+            a = poly.mul(a, full)
+        below[p] = (a, poly.mul(f, free) if p >= 0 else f)
+    return below.get(-1, ([1],))[0]
+
+
+def _cyclic_counts(H: Hypergraph, e: tuple[int, ...], find: Callable[[int], int]) -> list[int]:
+    """Counts of H with a cycle through edge e, per component, so that the
+    branches of disjoint cycles add up instead of multiplying."""
+    parts: dict[int, list[tuple[int, ...]]] = {}
+    for x in H.edges:
+        parts.setdefault(find(x[0]), []).append(x)
+    if len(parts) == 1:
+        # e lies on a cycle, so both branches have fewer independent cycles
+        skip = _counts(delete_edge(H, e))
+        take = _counts(delete_edge_closed(H, e).hypergraph)
+        return poly.add(skip, (0,) + take)
+    total = [1]
+    for edges in parts.values():
+        ids: dict[int, int] = {}
+        part = tuple(tuple(ids.setdefault(v, len(ids)) for v in x) for x in edges)
+        total = poly.mul(total, _counts(Hypergraph(H.r, len(ids), part)))
+    return total
 
 
 def _counts(H: Hypergraph) -> tuple[int, ...]:
-    if H.m == 0:
-        return (1,)
-    if H.m == 1:
-        return (1, 1)
-    # one union-find scan gives the components and acyclicity
-    acyclic, components, find = _forest_scan(H)
-    if components > 1:
-        total = [1]
-        for comp in _components(H, find):
-            if len(comp) == 1:
-                continue
-            total = poly.mul(total, _counts(restrict(H, comp).hypergraph))
-        return tuple(total)
-    if acyclic:
-        # the bytes of canonical_code(H), without its second acyclicity scan
-        key = (b"F", f"r{H.r}:{_forest_code(H)[0]}".encode("ascii"))
-    else:
-        key = (b"X", H.r, H.n, H.edges)
+    key = (H.r, H.n, H.edges)
     hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    e = _pendent_edge(H) if acyclic else H.edges[0]
-    skip = _counts(delete_edge(H, e))
-    take = _counts(delete_edge_closed(H, e).hypergraph)
-    out = list(skip) + [0] * max(0, len(take) + 1 - len(skip))
-    for k, c in enumerate(take):
-        out[k + 1] += c
-    result = tuple(out)
-    _cache[key] = result
-    return result
+    if hit is None:
+        e, _, find = _forest_scan(H)
+        hit = _cache[key] = tuple(_forest_counts(H) if e is None else _cyclic_counts(H, e, find))
+    return hit
 
 
 def _require_uniform_linear(H: Hypergraph) -> None:

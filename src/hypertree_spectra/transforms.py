@@ -160,8 +160,16 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
         witness["leading_sign"] = -1
         return False, False, witness
     witness["leading_sign"] = 1
-    # one Sturm chain per distinct polynomial (as a tuple) in this call
+    # same roots and signs; gcd(p1, D) is this very tuple when D divides p1
+    D = poly.primitive(D)
+    # one Sturm chain per distinct polynomial (as a tuple) in this call,
+    # evaluated once per point
     chain_of = functools.cache(poly.sturm_chain)
+    variations = functools.cache(lambda p, x: poly._variations(chain_of(p), x))
+
+    def roots_in(p: tuple, a: Fraction, b: Fraction) -> int:
+        """Distinct roots of p in (a, b]; the ends must not be roots."""
+        return variations(p, a) - variations(p, b)
 
     marker = _top_root_marker(p1, chain_of(tuple(p1)))
     if marker[0] == "point":
@@ -180,19 +188,18 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
         # interval of z1 (any root of the gcd inside it must be z1 itself)
         g = poly.poly_gcd(p1, D)
         if poly.degree(g) >= 1:
-            boundary_vanishes = poly.count_real_roots(chain_of(tuple(g)), lo, hi) >= 1
+            boundary_vanishes = roots_in(tuple(g), lo, hi) >= 1
         else:
             boundary_vanishes = False
         # shrink (lo, hi] until it holds no root of D besides possibly z1,
         # with endpoints avoiding the roots of both polynomials
         want = 1 if boundary_vanishes else 0
-        chain_p1, chain_D = chain_of(tuple(p1)), chain_of(tuple(D))
         while True:
             if poly.sign_at(D, lo) != 0 and poly.sign_at(D, hi) != 0:
-                if poly.count_real_roots(chain_D, lo, hi) == want:
+                if roots_in(tuple(D), lo, hi) == want:
                     break
             mid = poly.pick_nonroot([p1, D], lo, hi)
-            if poly.count_real_roots(chain_p1, mid, hi) == 1:
+            if roots_in(tuple(p1), mid, hi) == 1:
                 lo = mid
             else:
                 hi = mid

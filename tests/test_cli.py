@@ -1,6 +1,7 @@
 """Command-line interface: every subcommand plus exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -42,6 +43,17 @@ def test_matchpoly(capsys, tree_file):
     code, out = run(capsys, "matchpoly", tree_file)
     assert code == 0
     assert json.loads(out)["coeffs"] == {"4": "1", "2": "-3", "0": "1"}
+
+
+def test_matchpoly_deep_path(capsys, tmp_path):
+    """A 600-edge path: m(P_n, k) = C(n - k, k) at exponent n - 2k."""
+    n = 601
+    path = tmp_path / "path.json"
+    save(path_graph(n), str(path))
+    code, out = run(capsys, "matchpoly", str(path))
+    assert code == 0
+    coeffs = json.loads(out)["coeffs"]
+    assert coeffs == {str(n - 2 * k): str((-1) ** k * math.comb(n - k, k)) for k in range(n // 2 + 1)}
 
 
 def test_rho_both(capsys, tree_file):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import pytest
 
@@ -64,6 +65,31 @@ def test_validate_flags_nonlinear():
     assert not report.linear
     assert not report.is_hypertree
     assert any("share" in v for v in report.violations)
+
+
+def test_validate_linearity_matches_pairwise_scan():
+    """Violations come out as the scan over all edge pairs, in its order."""
+    rng = random.Random(3)
+    nonlinear = 0
+    for _ in range(200):
+        r = rng.choice((2, 3, 4))
+        n = rng.randint(r + 1, 9)
+        edges = {
+            tuple(sorted(rng.sample(range(n), rng.choice((r, r, r - 1, r + 1)))))
+            for _ in range(rng.randint(0, 10))
+        }
+        H = Hypergraph(r, n, edges)
+        expected = []
+        for a, b in itertools.combinations(H.edges, 2):
+            shared = len(set(a) & set(b))
+            if shared > 1:
+                expected.append(f"edges {a} and {b} share {shared} vertices")
+        report = validate(H)
+        found = [v for v in report.violations if v.startswith("edges ")]
+        assert found == expected
+        assert report.linear == (not expected)
+        nonlinear += bool(expected)
+    assert nonlinear >= 50
 
 
 def test_validate_flags_disconnected():

@@ -1,6 +1,8 @@
 """Matching counts, the matching polynomial, and its recurrences."""
 
 import json
+import math
+import random
 
 import pytest
 
@@ -15,6 +17,7 @@ from hypertree_spectra import (
     disjoint_union,
     enumerate_hypertrees,
     hyperstar,
+    is_acyclic,
     matching_counts,
     matching_number,
     matching_polynomial,
@@ -193,3 +196,64 @@ def test_edges_at_vertex_rule():
                                 ).coeffs,
                             )
                         assert sp_equal(phi, acc), (H.edges, u, J)
+
+
+def test_counts_deep_path():
+    """The tree pass has no recursion: a 600-edge path counts at the default limit."""
+    n = 601
+    counts = matching_counts(path_graph(n)).counts
+    assert counts == tuple(math.comb(n - k, k) for k in range(n // 2 + 1))
+
+
+def _two_matchings(H):
+    deg = [0] * H.n
+    for e in H.edges:
+        for v in e:
+            deg[v] += 1
+    return math.comb(H.m, 2) - sum(math.comb(d, 2) for d in deg)
+
+
+def test_counts_long_path_with_triangle():
+    """A cycle far from the start recurses once, not once per edge."""
+    path = path_graph(1201)
+    H = Hypergraph(2, 1202, path.edges + ((1199, 1201), (1200, 1201)))
+    assert not is_acyclic(H)
+    counts = matching_counts(H).counts
+    assert counts[1] == H.m == 1202
+    assert counts[2] == _two_matchings(H)
+
+
+def test_disjoint_cycles_count_apart():
+    """Cyclic components count one by one: k triangles give C(k, j) 3^j."""
+    k = 40
+    edges = [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (1, 2), (0, 2))]
+    H = disjoint_union(Hypergraph(2, 3 * k, tuple(edges)), path_graph(7))
+    counts = matching_counts(H).counts
+    path = (1, 6, 10, 4)
+    expected = [0] * (k + 4)
+    for j in range(k + 1):
+        for i, c in enumerate(path):
+            expected[j + i] += math.comb(k, j) * 3**j * c
+    assert counts == tuple(expected)
+
+
+def _random_cyclic(r, rng):
+    """A random linear r-uniform hypergraph with at least one cycle."""
+    while True:
+        n = rng.randint(r + 2, 12)
+        edges = []
+        for _ in range(rng.randint(3, 14)):
+            e = tuple(sorted(rng.sample(range(n), r)))
+            if all(len(set(e) & set(f)) <= 1 for f in edges):
+                edges.append(e)
+        H = Hypergraph(r, n, tuple(edges))
+        if not is_acyclic(H):
+            return H
+
+
+def test_cyclic_counts_match_brute_force():
+    rng = random.Random(11)
+    for r in (2, 3):
+        for _ in range(40):
+            H = _random_cyclic(r, rng)
+            assert matching_counts(H).counts == brute_force_counts(H).counts

@@ -1,6 +1,7 @@
 """Edge rewrites, the exact matching-polynomial order, and majorization."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -162,6 +163,42 @@ def test_compare_order_chains_each_polynomial_once(monkeypatch):
             tags.add(compare_order(x, y).tag)
             assert len(seen) == len(set(seen))
     assert {"precedes_strict", "precedes_weak", "incomparable"} <= tags
+
+
+def test_compare_order_evaluates_each_point_once(monkeypatch):
+    """Within one boundary search each (chain, point) count is made once.
+
+    What is left are the handoffs across `isolate_real_roots`: the end of
+    p1's isolating interval, counted there and again by the search, and
+    the boundary, counted by the search and again as the start of the
+    isolation above it.  So at most two evaluations repeat per call.
+    """
+    from hypertree_spectra import disjoint_union, random_hyperforest
+    from hypertree_spectra import polynomials as poly
+    from hypertree_spectra import transforms
+
+    seen = []
+    variations = poly._variations
+    dominates = transforms._dominates_from
+
+    def counted(chain, x):
+        seen.append((tuple(map(tuple, chain)), Fraction(x)))
+        return variations(chain, x)
+
+    def one_call(*args):
+        seen.clear()
+        out = dominates(*args)
+        assert len(seen) - len(set(seen)) <= 2
+        return out
+
+    monkeypatch.setattr(poly, "_variations", counted)
+    monkeypatch.setattr(transforms, "_dominates_from", one_call)
+    rng = random.Random(7)
+    for _ in range(40):
+        r, m = rng.choice((2, 3)), rng.randint(2, 9)
+        compare_order(random_hypertree(m, r, rng), random_hypertree(m, r, rng))
+        t = random_hypertree(m, r, rng)
+        compare_order(disjoint_union(t, t), random_hyperforest([m - 1, m + 1], r, rng))
 
 
 def test_edge_deletion_precedes_strict():
