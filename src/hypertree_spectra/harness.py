@@ -163,9 +163,26 @@ class SuiteConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SuiteConfig":
+        """Data of the wrong shape raises ValueError naming the field."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a suite config is a JSON object, not a {type(data).__name__}")
+        triples, ranges = data.get("triples", []), data.get("ranges", [])
+        if not (isinstance(triples, list) and all(isinstance(t, list) and len(t) == 3 for t in triples)):
+            raise ValueError("suite field 'triples' must be a list of [m, k, r] lists")
+        if not (isinstance(ranges, list) and all(isinstance(d, dict) for d in ranges)):
+            raise ValueError("suite field 'ranges' must be a list of objects with 'r' and 'm_max'")
+        ranges = [(d.get("r"), d.get("m_max")) for d in ranges]
+        if not all(type(x) is int for t in triples + ranges for x in t):
+            raise ValueError("suite fields 'triples' and 'ranges' must hold integers ('r', 'm_max')")
+        number, path = (int, float), (str, type(None))
+        for key, kind in (
+            ("at_least", bool), ("bound_tol", number), ("gap_tol", number), ("csv_path", path), ("json_path", path)
+        ):
+            if key in data and not isinstance(data[key], kind):
+                raise ValueError(f"suite field {key!r} cannot be {data[key]!r}")
         return cls(
-            triples=[tuple(t) for t in data.get("triples", [])],
-            ranges=[(d["r"], d["m_max"]) for d in data.get("ranges", [])],
+            triples=[tuple(t) for t in triples],
+            ranges=ranges,
             at_least=bool(data.get("at_least", False)),
             bound_tol=float(data.get("bound_tol", BOUND_TOL)),
             gap_tol=float(data.get("gap_tol", GAP_TOL)),

@@ -480,8 +480,19 @@ def to_json_dict(H: Hypergraph) -> dict:
 
 
 def from_json_dict(data: dict) -> Hypergraph:
-    """Readers accept edges in any order; normalization re-sorts."""
-    return Hypergraph(int(data["r"]), int(data["n"]), tuple(tuple(e) for e in data["edges"]))
+    """Readers accept edges in any order; normalization re-sorts.  Data of
+    the wrong shape raises ValueError naming the field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a hypergraph is a JSON object, not a {type(data).__name__}")
+    for key in ("r", "n", "edges"):
+        if key not in data:
+            raise ValueError(f"hypergraph field {key!r} is missing")
+    r, n, edges = data["r"], data["n"], data["edges"]
+    if not (type(r) is int and type(n) is int):
+        raise ValueError("hypergraph fields 'r' and 'n' must be integers")
+    if not (isinstance(edges, list) and all(isinstance(e, list) and all(type(v) is int for v in e) for e in edges)):
+        raise ValueError("hypergraph field 'edges' must be a list of lists of integer vertex ids")
+    return Hypergraph(r, n, tuple(map(tuple, edges)))
 
 
 def to_json(H: Hypergraph) -> str:

@@ -92,10 +92,6 @@ class MatchPoly:
     def counts(self) -> tuple[int, ...]:
         return tuple(abs(self.coeffs.get(self.n - k * self.r, 0)) for k in range(self.nu + 1))
 
-    def evaluate(self, x):
-        """Exact for int/Fraction arguments, float otherwise."""
-        return sum(c * x**e for e, c in self.coeffs.items())
-
     def z_coeffs(self) -> list[int]:
         """Coefficients of p(z) with phi(H, x) = x^(n - nu*r) * p(x^r), ascending."""
         return MatchingProfile(self.counts()).z_poly()

@@ -10,7 +10,9 @@ Real roots are handled in integers: `sign_at` takes signs at rationals
 by homogeneous Horner, Sturm chains have integer coefficients, isolation
 bisects on exact Sturm counts, and refinement bisects on the sign of the
 square-free part at dyadic points (Rouillier & Zimmermann, JCAM 162,
-2004).  Floats are produced only at the very end.
+2004).  Exact division is integer long division by a primitive divisor,
+so no polynomial is ever divided over the rationals.  The one float a
+top root yields is the double nearest it, decided by exact signs.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from typing import Sequence
 
 Dense = list
 Sparse = dict
-
-# isolating-interval width at which a top root is handed over to floats
-_ROOT_WIDTH = Fraction(1, 10**14)
 
 # ---------------------------------------------------------------------------
 # dense arithmetic
@@ -91,25 +90,22 @@ def derivative(p: Sequence) -> Dense:
     return trim([i * c for i, c in enumerate(p)][1:])
 
 
-def div_rem(p: Sequence, q: Sequence) -> tuple[Dense, Dense]:
-    """Euclidean division over the rationals: p = quo*q + rem."""
-    q = trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in trim(p)]
-    lead = Fraction(q[-1])
+def exact_quotient(p: Sequence, q: Sequence) -> Dense:
+    """p / q for integer p and a primitive integer q that divides p.
+
+    By Gauss's lemma the quotient has integer coefficients, so the long
+    division runs in integers; a remainder raises ValueError.
+    """
+    rem, q = trim(p), trim(q)
     dq = len(q) - 1
-    quo = [Fraction(0)] * max(len(rem) - dq, 0)
-    while len(rem) - 1 >= dq and rem:
-        shift = len(rem) - 1 - dq
-        factor = rem[-1] / lead
-        quo[shift] = factor
+    quo = [0] * max(len(rem) - dq, 0)
+    for shift in reversed(range(len(quo))):
+        quo[shift] = f = rem[shift + dq] // q[-1]
         for i, c in enumerate(q):
-            rem[shift + i] -= factor * Fraction(c)
-        rem = trim(rem)
-        if not rem:
-            break
-    return trim(quo), rem
+            rem[shift + i] -= f * c
+    if any(rem):
+        raise ValueError("divisor does not divide the polynomial")
+    return trim(quo)
 
 
 def _content_free(p: Sequence) -> Dense:
@@ -154,8 +150,7 @@ def cauchy_bound(p: Sequence) -> Fraction:
     p = trim(p)
     if len(p) <= 1:
         return Fraction(1)
-    lead = abs(Fraction(p[-1]))
-    return 1 + max(abs(Fraction(c)) / lead for c in p[:-1])
+    return 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -196,27 +191,37 @@ def sign_at(p: Sequence, x) -> int:
     return _sign_scaled(p, x.numerator, x.denominator)
 
 
-def _variations(chain: list[Dense], x) -> int:
+def _variations(chain: list[Dense], x) -> int | None:
+    """Sign variations of the chain at x, or None when x is a root of chain[0]."""
     x = Fraction(x)
-    signs = [s for s in (_sign_scaled(f, x.numerator, x.denominator) for f in chain) if s]
+    signs = [_sign_scaled(f, x.numerator, x.denominator) for f in chain]
+    if not signs[0]:
+        return None
+    signs = [s for s in signs if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_real_roots(chain: list[Dense], a, b) -> int:
     """Distinct real roots of chain[0] in (a, b]; endpoints must not be roots."""
-    return _variations(chain, a) - _variations(chain, b)
+    va, vb = _variations(chain, a), _variations(chain, b)
+    if va is None or vb is None:
+        raise ValueError("counting endpoints must not be roots")
+    return va - vb
 
 
-def pick_nonroot(polys: list[Sequence], a: Fraction, b: Fraction) -> Fraction:
-    """A rational point in (a, b) where none of the given polynomials vanish."""
+def _dyadic_points(a, b):
+    """The points of (a, b) at odd multiples of (b - a) / 2^k, k = 1, 2, ..."""
     a, b = Fraction(a), Fraction(b)
     denom = 2
     while True:
         for num in range(1, denom, 2):
-            pt = a + (b - a) * Fraction(num, denom)
-            if all(sign_at(p, pt) != 0 for p in polys):
-                return pt
+            yield a + (b - a) * Fraction(num, denom)
         denom *= 2
+
+
+def pick_nonroot(polys: list[Sequence], a: Fraction, b: Fraction) -> Fraction:
+    """The first of `_dyadic_points(a, b)` where none of the polynomials vanish."""
+    return next(x for x in _dyadic_points(a, b) if all(sign_at(p, x) != 0 for p in polys))
 
 
 def isolate_real_roots(p: Sequence, lo=None, hi=None, chain=None) -> list[tuple]:
@@ -225,7 +230,8 @@ def isolate_real_roots(p: Sequence, lo=None, hi=None, chain=None) -> list[tuple]
     Returns markers in increasing order, each either ("point", q) for an
     exact rational root or ("interval", a, b) for an open interval holding
     exactly one root with p(a) != 0 != p(b).  `chain` is p's Sturm chain,
-    if the caller has it.
+    if the caller has it; its first element, a positive multiple of p,
+    also tells where p vanishes.
     """
     p = trim(p)
     if len(p) <= 1:
@@ -233,12 +239,11 @@ def isolate_real_roots(p: Sequence, lo=None, hi=None, chain=None) -> list[tuple]
     bound = cauchy_bound(p) + 1 if lo is None or hi is None else None
     lo = Fraction(lo) if lo is not None else -bound
     hi = Fraction(hi) if hi is not None else bound
-    if sign_at(p, lo) == 0 or sign_at(p, hi) == 0:
-        raise ValueError("isolation endpoints must not be roots")
     chain = chain or sturm_chain(p)
     out: list[tuple] = []
 
-    # va, vb: sign variations of the chain at a and b, evaluated once per point
+    # va, vb: sign variations of the chain at a and b, evaluated once per
+    # point; the same evaluation tells whether p vanishes there (None)
     def rec(a: Fraction, b: Fraction, va: int, vb: int) -> None:
         if va == vb:
             return
@@ -246,24 +251,26 @@ def isolate_real_roots(p: Sequence, lo=None, hi=None, chain=None) -> list[tuple]
             out.append(("interval", a, b))
             return
         mid = (a + b) / 2
-        if sign_at(p, mid) == 0:
+        vm = _variations(chain, mid)
+        if vm is None:
             eps = (b - a) / 4
             while True:
                 l2, r2 = mid - eps, mid + eps
-                if sign_at(p, l2) != 0 and sign_at(p, r2) != 0:
-                    vl, vr = _variations(chain, l2), _variations(chain, r2)
-                    if vl - vr == 1:
-                        break
+                vl, vr = _variations(chain, l2), _variations(chain, r2)
+                if vl is not None and vr is not None and vl - vr == 1:
+                    break
                 eps /= 2
             rec(a, l2, va, vl)
             out.append(("point", mid))
             rec(r2, b, vr, vb)
         else:
-            vm = _variations(chain, mid)
             rec(a, mid, va, vm)
             rec(mid, b, vm, vb)
 
-    rec(lo, hi, _variations(chain, lo), _variations(chain, hi))
+    va, vb = _variations(chain, lo), _variations(chain, hi)
+    if va is None or vb is None:
+        raise ValueError("isolation endpoints must not be roots")
+    rec(lo, hi, va, vb)
     return out
 
 
@@ -271,7 +278,7 @@ def _square_free(chain: list[Dense]) -> Dense:
     """A multiple of p / gcd(p, p') from p's Sturm chain (p first, the gcd last)."""
     if len(chain[-1]) == 1:
         return chain[0]
-    return _content_free(div_rem(chain[0], chain[-1])[0])
+    return exact_quotient(chain[0], chain[-1])
 
 
 def refine_isolating(p: Sequence, a: Fraction, b: Fraction, width: Fraction, chain=None) -> tuple:
@@ -300,43 +307,9 @@ def refine_isolating(p: Sequence, a: Fraction, b: Fraction, width: Fraction, cha
     return ("interval", Fraction(A, D), Fraction(B, D))
 
 
-def _top_root(p: Sequence, width: Fraction = _ROOT_WIDTH) -> tuple[float, int] | None:
-    """Largest real root as a float, with the number of halvings that bring
-    its isolating interval below `width` (0 for an exact rational root).
-
-    Exact isolation and sign bisection sharing one Sturm chain, then one
-    Newton polish that is kept only when it stays within the final
-    interval's width.
-    """
-    chain = sturm_chain(p)
-    markers = isolate_real_roots(p, chain=chain)
-    if not markers:
-        return None
-    marker = markers[-1]
-    if marker[0] == "point":
-        return float(marker[1]), 0
-    halvings = 0
-    w = marker[2] - marker[1]
-    while w > width:
-        w /= 2
-        halvings += 1
-    marker = refine_isolating(p, marker[1], marker[2], width, chain=chain)
-    if marker[0] == "point":
-        return float(marker[1]), halvings
-    a, b = marker[1], marker[2]
-    x = float((a + b) / 2)
-    fp = [float(c) for c in trim(p)]
-    fd = [float(c) for c in derivative(trim(p))]
-    dfx = evaluate(fd, x)
-    if dfx != 0.0:
-        step = evaluate(fp, x) / dfx
-        if abs(step) <= float(b - a):
-            x -= step
-    return x, halvings
-
-
-def largest_real_root_float(p: Sequence, lo=None, hi=None) -> float | None:
-    """The double nearest the largest real root of p in (lo, hi), or None.
+def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int] | None:
+    """The double nearest the largest real root of p in (lo, hi), with the
+    number of halvings that took (0 for a root met by isolation), or None.
 
     The root is isolated on p's integer Sturm chain, then bracketed by
     sign bisection on the square-free part (as in `refine_isolating`)
@@ -349,27 +322,35 @@ def largest_real_root_float(p: Sequence, lo=None, hi=None) -> float | None:
     if not markers:
         return None
     if markers[-1][0] == "point":
-        return float(markers[-1][1])
+        return float(markers[-1][1]), 0
     _, a, b = markers[-1]
     q = _square_free(chain)
     D = lcm(a.denominator, b.denominator)
     A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
     left = _sign_scaled(q, A, D)
     fa, fb = A / D, B / D  # only the end that moves needs a new division
+    halvings = 0
     while fa != fb:
         if nextafter(fa, fb) == fb:
             tie = (Fraction(fa) + Fraction(fb)) / 2
             s = sign_at(q, tie)
-            return float(tie) if s == 0 else fa if s != left else fb
+            return (float(tie) if s == 0 else fa if s != left else fb), halvings
         mid, A, B, D = A + B, 2 * A, 2 * B, 2 * D
+        halvings += 1
         s, fm = _sign_scaled(q, mid, D), mid / D
         if s == 0:
-            return fm
+            return fm, halvings
         if s != left:
             B, fb = mid, fm
         else:
             A, fa = mid, fm
-    return fa
+    return fa, halvings
+
+
+def largest_real_root_float(p: Sequence, lo=None, hi=None) -> float | None:
+    """The double nearest the largest real root of p in (lo, hi), or None."""
+    top = _nearest_top_root(p, lo, hi)
+    return None if top is None else top[0]
 
 
 # ---------------------------------------------------------------------------

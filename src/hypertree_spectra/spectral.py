@@ -14,10 +14,12 @@ structures), with the Collatz-Wielandt bracket
 min_i (Bx)_i / x_i^(r-1) <= rho(B) <= max_i (...) driving the stopping
 rule.  Route two, for hyperforests, reads rho off the matching
 polynomial: substituting z = x^r turns phi into x^(n-nu*r) p(z), and rho
-is the r-th root of the largest real root of p, located by the shared
-top-root routine in `polynomials`: exact isolation on an integer Sturm
-chain, sign bisection on the square-free part in integer arithmetic, and
-a final Newton polish.
+is the r-th root of the largest real root of p.  That root is read by
+the top-root kernel in `polynomials` that also serves the closed-form
+bounds: exact isolation on an integer Sturm chain, then sign bisection
+on the square-free part in integer arithmetic until both ends round to
+one double, the double nearest the root.  `SpectralResult.iterations`
+counts the power steps of route one and the halvings of route two.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ class PowerIterationError(RuntimeError):
 
 @dataclass
 class SpectralResult:
+    """`iterations`: power steps (power route) or bisection halvings of
+    rho^r's isolating interval (polyroot route, 0 for a rational rho^r
+    met by isolation)."""
+
     rho: float
     method: str
     eigenvector: Optional[np.ndarray] = None
@@ -169,6 +175,8 @@ def spectral_radius_power(
 def spectral_radius_polyroot(H: Hypergraph, with_residual: bool = False) -> SpectralResult:
     """rho of a hyperforest as the r-th root of the top root of p(z).
 
+    rho is the r-th root of the double nearest that root, and
+    `iterations` the number of halvings the bisection took to find it.
     The eigenvector field is left empty; pass with_residual=True to
     recompute the defect against the power-method vector.
     """
@@ -182,7 +190,7 @@ def spectral_radius_polyroot(H: Hypergraph, with_residual: bool = False) -> Spec
     if profile.nu == 0:
         result = SpectralResult(0.0, "polyroot")
     else:
-        top = poly._top_root(profile.z_poly())
+        top = poly._nearest_top_root(profile.z_poly())
         if top is None:
             raise RuntimeError("matching polynomial with no real root in z")
         z, halvings = top

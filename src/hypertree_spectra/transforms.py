@@ -133,14 +133,15 @@ def _top_root_marker(p: list[int], chain: list) -> tuple:
     return markers[-1]
 
 
-def _deflate_rational_root(p: list[int], q: Fraction) -> tuple[list, int]:
-    """Divide out (z - q) as often as it divides p; returns (quotient, multiplicity)."""
+def _deflate_rational_root(p: tuple, q: Fraction, sign) -> tuple[tuple, int]:
+    """Divide the primitive integer p by d z - n, with q = n/d, as often as
+    it divides; returns (quotient, multiplicity).  `sign(p, x)` is the sign
+    test to use."""
     mult = 0
-    current = [Fraction(c) for c in p]
-    while poly.sign_at(current, q) == 0 and poly.degree(current) >= 1:
-        current = poly.div_rem(current, [-q, Fraction(1)])[0]
+    while sign(p, q) == 0 and len(p) > 1:
+        p = tuple(poly.exact_quotient(p, [-q.numerator, q.denominator]))
         mult += 1
-    return current, mult
+    return p, mult
 
 
 def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[bool, bool, dict]:
@@ -160,10 +161,12 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
         witness["leading_sign"] = -1
         return False, False, witness
     witness["leading_sign"] = 1
-    # same roots and signs; gcd(p1, D) is this very tuple when D divides p1
-    D = poly.primitive(D)
-    # one Sturm chain per distinct polynomial (as a tuple) in this call,
-    # evaluated once per point
+    # polynomials are tuples from here on: D is primitive, so gcd(p1, D)
+    # is this very tuple when D divides p1
+    p1, D = tuple(p1), tuple(poly.primitive(D))
+    # per call: one Sturm chain per distinct polynomial, one sign test and
+    # one chain evaluation per (polynomial, point)
+    sign = functools.cache(poly.sign_at)
     chain_of = functools.cache(poly.sturm_chain)
     variations = functools.cache(lambda p, x: poly._variations(chain_of(p), x))
 
@@ -171,35 +174,35 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
         """Distinct roots of p in (a, b]; the ends must not be roots."""
         return variations(p, a) - variations(p, b)
 
-    marker = _top_root_marker(p1, chain_of(tuple(p1)))
+    def nonroot(polys: tuple, a: Fraction, b: Fraction) -> Fraction:
+        """`poly.pick_nonroot` through this call's sign tests."""
+        return next(x for x in poly._dyadic_points(a, b) if all(sign(p, x) for p in polys))
+
+    marker = _top_root_marker(p1, chain_of(p1))
     if marker[0] == "point":
         z1 = marker[1]
         witness["boundary"] = [str(z1), str(z1)]
-        effective, mult = _deflate_rational_root(D, z1)
+        effective, mult = _deflate_rational_root(D, z1, sign)
         boundary_vanishes = mult > 0
         # at rho1 = 0 the x^trailing_exp factor can force the vanishing
         if z1 == 0 and trailing_exp > 0:
             boundary_vanishes = True
-        effective = poly.primitive(effective)
         start = z1
     else:
         lo, hi = marker[1], marker[2]
         # D(z1) = 0 exactly when gcd(p1, D) has a root in the isolating
         # interval of z1 (any root of the gcd inside it must be z1 itself)
-        g = poly.poly_gcd(p1, D)
-        if poly.degree(g) >= 1:
-            boundary_vanishes = roots_in(tuple(g), lo, hi) >= 1
+        g = tuple(poly.poly_gcd(p1, D))
+        if len(g) > 1:
+            boundary_vanishes = roots_in(g, lo, hi) >= 1
         else:
             boundary_vanishes = False
         # shrink (lo, hi] until it holds no root of D besides possibly z1,
         # with endpoints avoiding the roots of both polynomials
         want = 1 if boundary_vanishes else 0
-        while True:
-            if poly.sign_at(D, lo) != 0 and poly.sign_at(D, hi) != 0:
-                if roots_in(tuple(D), lo, hi) == want:
-                    break
-            mid = poly.pick_nonroot([p1, D], lo, hi)
-            if roots_in(tuple(p1), mid, hi) == 1:
+        while not (sign(D, lo) and sign(D, hi) and roots_in(D, lo, hi) == want):
+            mid = nonroot((p1, D), lo, hi)
+            if roots_in(p1, mid, hi) == 1:
                 lo = mid
             else:
                 hi = mid
@@ -208,16 +211,15 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
         start = hi
     witness["boundary_vanishes"] = boundary_vanishes
 
-    effective = poly.trim(effective)
-    if poly.degree(effective) <= 0:
-        weak = bool(effective) and effective[-1] > 0
+    if len(effective) <= 1:
+        weak = effective[-1] > 0
         witness["samples"] = [[str(start), 1 if weak else -1]]
         return weak, boundary_vanishes, witness
 
     bound = poly.cauchy_bound(effective) + 1
     if start >= bound:
         bound = start + 1
-    markers = poly.isolate_real_roots(effective, lo=start, hi=bound, chain=chain_of(tuple(effective)))
+    markers = poly.isolate_real_roots(effective, lo=start, hi=bound, chain=chain_of(effective))
     # one sample per gap between consecutive roots of `effective`:
     # `start` covers the gap before the first root, an interval marker's
     # right endpoint covers the gap after its root, and a rational root
@@ -228,13 +230,13 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
             gap_points.append(mk[2])
         else:
             nxt = markers[i + 1][1] if i + 1 < len(markers) else bound
-            gap_points.append(poly.pick_nonroot([effective], mk[1], nxt))
+            gap_points.append(nonroot((effective,), mk[1], nxt))
     samples = []
     weak = True
     for pt in gap_points:
-        sign = 1 if poly.sign_at(effective, pt) > 0 else -1
-        samples.append([str(pt), sign])
-        if sign < 0:
+        s = sign(effective, pt)
+        samples.append([str(pt), s])
+        if s < 0:
             weak = False
     witness["samples"] = samples
     witness["roots_above"] = len(markers)

@@ -155,6 +155,34 @@ def test_chain(capsys):
     assert json.loads(out) == [[3, 2, 1], [2, 2, 2]]
 
 
+@pytest.mark.parametrize(
+    "argv, data, field",
+    [
+        (["validate"], {"r": 2, "n": 3}, "'edges'"),
+        (["validate"], [[0, 1], [1, 2]], "JSON object"),
+        (["rho"], {"r": 2, "n": 3, "edges": [1, 2]}, "'edges'"),
+        (["matchpoly"], {"r": 2, "edges": [[0, 1]]}, "'n'"),
+        (["compare", "FILE"], {"r": "two", "n": 3, "edges": [[0, 1]]}, "'r'"),
+        (["validate"], {"r": 2, "n": 3, "edges": [[0, 1.7], [1, 2]]}, "'edges'"),
+        (["suite", "--config"], {"ranges": [{"r": 3}]}, "'m_max'"),
+        (["suite", "--config"], {"triples": [[3, 2]]}, "'triples'"),
+        (["suite", "--config"], {"triples": [["3", "2", "3"]]}, "'triples'"),
+        (["suite", "--config"], [[3, 2, 3]], "JSON object"),
+        (["suite", "--config"], {"triples": [[3, 2, 3]], "bound_tol": None}, "'bound_tol'"),
+        (["suite", "--config"], {"triples": [[3, 2, 3]], "at_least": "no"}, "'at_least'"),
+    ],
+)
+def test_malformed_file_exit_code(capsys, tmp_path, argv, data, field):
+    """A file of the wrong shape is a usage error (exit 2, one error line),
+    not a failed verification with a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    argv = [str(path) if a == "FILE" else a for a in argv] + [str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+
+
 def test_usage_error_exit_code():
     assert main(["chain", "--from", "3,2,1", "--to", "2,2,2"]) == 2
 

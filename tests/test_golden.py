@@ -7,8 +7,19 @@ summation order.
 """
 
 import hashlib
+import json
+import random
 
-from hypertree_spectra import Hypergraph, save
+from hypertree_spectra import (
+    Hypergraph,
+    compare_order,
+    disjoint_union,
+    enumerate_hypertrees,
+    random_hyperforest,
+    random_hypertree,
+    save,
+    spectral_radius_polyroot,
+)
 from hypertree_spectra.cli import main
 from hypertree_spectra.harness import SuiteConfig, default_config, run_suite
 
@@ -20,9 +31,11 @@ VERIFY_633 = (
     '"interpretation": "exact-nu", "passed": true}\n'
 )
 
+# iterations: the halvings that bring rho^r's isolating interval down to
+# one double
 RHO_P4_POLY = (
-    '{"method": "poly", "polyroot": {"rho": 1.618033988749895, "iterations": 48}, '
-    '"rho": 1.618033988749895, "residual": null, "iterations": 48}\n'
+    '{"method": "poly", "polyroot": {"rho": 1.618033988749895, "iterations": 52}, '
+    '"rho": 1.618033988749895, "residual": null, "iterations": 52}\n'
 )
 
 BOUND_733 = '{"q": 1, "s": 0, "l": 3, "alpha0": 0.8179995807336579, "rho": 1.7645848132290711}\n'
@@ -36,6 +49,14 @@ BOUND_433_PERFECT = (
 # sha256 of the default suite's reports (72 rows)
 DEFAULT_SUITE_CSV_SHA256 = "10c03ec6cc9de33722f49ebba6842de8874524b9e865968703756a7867ef8632"
 DEFAULT_SUITE_JSON_SHA256 = "5f67c7bd24697d84b065fdb141aa06783e629624a9a4c0af83c89a250d4187ec"
+
+# sha256 of polyroot's repr(rho) and iterations over every class up to
+# r=2 m=8, r=3 m=6, r=4 m=5; rho^r is the double nearest the exact root
+POLYROOT_SHA256 = "5269514535c30d8c19fae533cd11e4c856e9ea7e5ddaab9a11b2b48236407754"
+
+# sha256 of compare_order's tags and witness JSON, both directions, on a
+# seeded set of random hypertree and doubled-forest pairs
+ORDER_SHA256 = "970b51bd46b3e9cabb85ca029db8b37f255f12b8ff881f3cdd75c8aac131efdd"
 
 SUITE_CSV = (
     "m,k,r,q,s,l,classes,winner_code,winner_rho,bound_rho,unique,matches_bound\n"
@@ -119,3 +140,34 @@ def test_default_suite_digests():
     assert len(result.csv_text.splitlines()) == 73
     assert hashlib.sha256(result.csv_text.encode()).hexdigest() == DEFAULT_SUITE_CSV_SHA256
     assert hashlib.sha256(result.json_text.encode()).hexdigest() == DEFAULT_SUITE_JSON_SHA256
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def test_polyroot_digest():
+    lines = []
+    for r, m_max in ((2, 8), (3, 6), (4, 5)):
+        for m in range(1, m_max + 1):
+            for H in enumerate_hypertrees(m, r):
+                res = spectral_radius_polyroot(H)
+                lines.append(f"{r} {m} {res.rho!r} {res.iterations}\n")
+    assert len(lines) == 146
+    assert _sha256(lines) == POLYROOT_SHA256
+
+
+def test_order_digest():
+    rng = random.Random(2024)
+    lines = []
+    for _ in range(50):
+        r, m = rng.choice((2, 3, 4)), rng.randint(2, 9)
+        pairs = [(random_hypertree(m, r, rng), random_hypertree(m, r, rng))]
+        t = random_hypertree(m, r, rng)
+        pairs.append((disjoint_union(t, t), random_hyperforest([m - 1, m + 1], r, rng)))
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                rel = compare_order(x, y)
+                lines.append(json.dumps([rel.tag, rel.witness], sort_keys=True) + "\n")
+    assert len(lines) == 200
+    assert _sha256(lines) == ORDER_SHA256

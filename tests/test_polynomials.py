@@ -1,6 +1,9 @@
 """Exact polynomial arithmetic and root isolation."""
 
+import random
 from fractions import Fraction
+
+import pytest
 
 from hypertree_spectra import polynomials as poly
 
@@ -16,13 +19,34 @@ def test_dense_basics():
     assert poly.derivative([5, 1, 4]) == [1, 8]
 
 
-def test_div_rem_exact():
+def _long_division(p, q):
+    """Reference: Euclidean division over the rationals, p = quo*q + rem."""
+    rem = [Fraction(c) for c in p]
+    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    for shift in reversed(range(len(quo))):
+        quo[shift] = rem[shift + len(q) - 1] / q[-1]
+        for i, c in enumerate(q):
+            rem[shift + i] -= quo[shift] * c
+    return poly.trim(quo), poly.trim(rem)
+
+
+def test_exact_quotient():
     # (x^2 - 1) = (x + 1)(x - 1)
-    quo, rem = poly.div_rem([-1, 0, 1], [1, 1])
-    assert quo == [-1, 1]
-    assert rem == []
-    quo, rem = poly.div_rem([1, 0, 1], [1, 1])
-    assert rem == [2]
+    assert poly.exact_quotient([-1, 0, 1], [1, 1]) == [-1, 1]
+    # x^2 + 1 = (x - 1)(x + 1) + 2: not exact
+    assert _long_division([1, 0, 1], [1, 1])[1] == [2]
+    with pytest.raises(ValueError):
+        poly.exact_quotient([1, 0, 1], [1, 1])
+    rng = random.Random(4)
+    for _ in range(300):
+        q = poly.primitive([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [rng.choice((-3, -1, 2, 5))])
+        if rng.random() < 0.5:
+            q = poly.neg(q)  # content 1 with either sign
+        f = [rng.randint(-40, 40) for _ in range(rng.randint(0, 7))]
+        quo = poly.exact_quotient(poly.mul(f, q), q)
+        assert all(isinstance(c, int) for c in quo)
+        assert quo == poly.trim(f) == _long_division(poly.mul(f, q), q)[0]
+        assert _long_division(poly.mul(f, q), q)[1] == []
 
 
 def test_poly_gcd():
@@ -77,6 +101,19 @@ def test_isolate_rational_roots_as_points():
     assert len(values) == 2
     assert min(abs(v - 0) for v in values) < Fraction(1, 10**8)
     assert min(abs(v - 2) for v in values) < Fraction(1, 10**8)
+
+
+def test_endpoints_at_roots_rejected():
+    # z^2 - 4: the chain's first element vanishes at 2 and -2
+    p = [-4, 0, 1]
+    chain = poly.sturm_chain(p)
+    for a, b in ((2, 5), (-5, -2), (-2, 2)):
+        with pytest.raises(ValueError):
+            poly.isolate_real_roots(p, a, b)
+        with pytest.raises(ValueError):
+            poly.count_real_roots(chain, a, b)
+    assert poly.isolate_real_roots(p, 1, 5) == [("interval", Fraction(1), Fraction(5))]
+    assert poly.count_real_roots(chain, 1, 5) == 1
 
 
 def test_largest_real_root_float():

@@ -2,8 +2,8 @@
 
 `sign_at` against `evaluate` over Fractions, sign bisection in
 `refine_isolating` against bisection on Sturm counts, and the doubles
-handed out by `largest_real_root_float` (behind both closed-form bounds)
-against exact Sturm counts around them.
+handed out by `largest_real_root_float` (behind polyroot and both
+closed-form bounds) against exact Sturm counts around them.
 """
 
 import math
@@ -18,6 +18,7 @@ from hypertree_spectra import (
     matching_counts,
     perfect_matching_bound,
     rho_bound,
+    spectral_radius_polyroot,
 )
 from hypertree_spectra import polynomials as poly
 from hypertree_spectra.constructions import _cleared_bound_poly
@@ -176,6 +177,21 @@ def test_bounds_are_nearest_doubles():
             _assert_nearest_double(poly.sub(poly.mul_xpow([r], r), [m - 1, 1 - m]), alpha0, hi=1)
             cases += 1
     assert cases > 50
+
+
+def test_polyroot_reads_nearest_double():
+    """polyroot and the bounds share one kernel: rho^r is the double nearest
+    the top root of p(z), repeated roots (doubled trees) included."""
+    trees = [H for r, m_max in ((2, 8), (3, 6), (4, 5)) for m in range(1, m_max + 1)
+             for H in enumerate_hypertrees(m, r)]
+    doubled = [disjoint_union(H, H) for H in trees[::5]]
+    for H in trees + doubled:
+        p = _z_poly(H)
+        z = poly.largest_real_root_float(p)
+        assert spectral_radius_polyroot(H).rho == z ** (1.0 / H.r)
+        _assert_nearest_double(p, z)
+    # P4 + P4: the golden ratio's double, though its square is a double root
+    assert spectral_radius_polyroot(disjoint_union(path_graph(4), path_graph(4))).rho == 1.618033988749895
 
 
 def test_root_halfway_between_doubles():

@@ -201,6 +201,41 @@ def test_compare_order_evaluates_each_point_once(monkeypatch):
         compare_order(disjoint_union(t, t), random_hyperforest([m - 1, m + 1], r, rng))
 
 
+def test_compare_order_tests_each_sign_once(monkeypatch):
+    """One exact sign test per (polynomial, point) within a boundary search,
+    counting the tests made inside the helpers it calls."""
+    from hypertree_spectra import disjoint_union, random_hyperforest
+    from hypertree_spectra import polynomials as poly
+    from hypertree_spectra import transforms
+
+    seen = []
+    tests = 0
+    sign_at = poly.sign_at
+    dominates = transforms._dominates_from
+
+    def counted(p, x):
+        seen.append((tuple(p), Fraction(x)))
+        return sign_at(p, x)
+
+    def one_call(*args):
+        nonlocal tests
+        seen.clear()
+        out = dominates(*args)
+        assert len(seen) == len(set(seen))
+        tests += len(seen)
+        return out
+
+    monkeypatch.setattr(poly, "sign_at", counted)
+    monkeypatch.setattr(transforms, "_dominates_from", one_call)
+    rng = random.Random(7)
+    for _ in range(40):
+        r, m = rng.choice((2, 3)), rng.randint(2, 9)
+        compare_order(random_hypertree(m, r, rng), random_hypertree(m, r, rng))
+        t = random_hypertree(m, r, rng)
+        compare_order(disjoint_union(t, t), random_hyperforest([m - 1, m + 1], r, rng))
+    assert tests > 200
+
+
 def test_edge_deletion_precedes_strict():
     """A proper same-order partial hyperforest sits strictly below."""
     for m in range(1, 5):
