@@ -2,9 +2,7 @@
 
 Dense polynomials are lists of coefficients in ascending power order
 ([c0, c1, c2] means c0 + c1*x + c2*x**2) over Python ints or Fractions,
-so all arithmetic is exact.  Sparse polynomials (dicts mapping exponent
-to integer coefficient) cover the wide-degree bookkeeping of matching
-polynomials, where only a few exponents are populated.
+so all arithmetic is exact.
 
 Real roots are handled in integers: `sign_at` takes signs at rationals
 by homogeneous Horner, Sturm chains have integer coefficients, isolation
@@ -18,11 +16,11 @@ top root yields is the double nearest it, decided by exact signs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm, nextafter
 from typing import Sequence
 
 Dense = list
-Sparse = dict
 
 # ---------------------------------------------------------------------------
 # dense arithmetic
@@ -191,20 +189,24 @@ def sign_at(p: Sequence, x) -> int:
     return _sign_scaled(p, x.numerator, x.denominator)
 
 
-def _variations(chain: list[Dense], x) -> int | None:
-    """Sign variations of the chain at x, or None when x is a root of chain[0]."""
+def _variations(chain: list[Dense], x) -> tuple[int, int]:
+    """(sign of chain[0] at x, sign variations of the chain at x); the
+    count means something only where the sign is nonzero."""
     x = Fraction(x)
-    signs = [_sign_scaled(f, x.numerator, x.denominator) for f in chain]
-    if not signs[0]:
-        return None
-    signs = [s for s in signs if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    n, d = x.numerator, x.denominator
+    signs = [_sign_scaled(f, n, d) for f in chain]
+    count = last = 0
+    for s in signs:
+        if s:
+            count += last == -s  # opposite to the last nonzero sign
+            last = s
+    return signs[0], count
 
 
 def count_real_roots(chain: list[Dense], a, b) -> int:
     """Distinct real roots of chain[0] in (a, b]; endpoints must not be roots."""
-    va, vb = _variations(chain, a), _variations(chain, b)
-    if va is None or vb is None:
+    (sa, va), (sb, vb) = _variations(chain, a), _variations(chain, b)
+    if not (sa and sb):
         raise ValueError("counting endpoints must not be roots")
     return va - vb
 
@@ -224,14 +226,15 @@ def pick_nonroot(polys: list[Sequence], a: Fraction, b: Fraction) -> Fraction:
     return next(x for x in _dyadic_points(a, b) if all(sign_at(p, x) != 0 for p in polys))
 
 
-def isolate_real_roots(p: Sequence, lo=None, hi=None, chain=None) -> list[tuple]:
+def isolate_real_roots(p: Sequence, lo=None, hi=None, evaluate=None) -> list[tuple]:
     """Isolate the distinct real roots of p in (lo, hi).
 
     Returns markers in increasing order, each either ("point", q) for an
     exact rational root or ("interval", a, b) for an open interval holding
-    exactly one root with p(a) != 0 != p(b).  `chain` is p's Sturm chain,
-    if the caller has it; its first element, a positive multiple of p,
-    also tells where p vanishes.
+    exactly one root with p(a) != 0 != p(b).  `evaluate(x)` is
+    `_variations` of p's Sturm chain at x, if the caller has the chain or
+    keeps its evaluations; the chain's first element is a positive
+    multiple of p, so the same evaluation tells where p vanishes.
     """
     p = trim(p)
     if len(p) <= 1:
@@ -239,11 +242,11 @@ def isolate_real_roots(p: Sequence, lo=None, hi=None, chain=None) -> list[tuple]
     bound = cauchy_bound(p) + 1 if lo is None or hi is None else None
     lo = Fraction(lo) if lo is not None else -bound
     hi = Fraction(hi) if hi is not None else bound
-    chain = chain or sturm_chain(p)
+    evaluate = evaluate or partial(_variations, sturm_chain(p))
     out: list[tuple] = []
 
     # va, vb: sign variations of the chain at a and b, evaluated once per
-    # point; the same evaluation tells whether p vanishes there (None)
+    # point; the same evaluation tells whether p vanishes there
     def rec(a: Fraction, b: Fraction, va: int, vb: int) -> None:
         if va == vb:
             return
@@ -251,13 +254,13 @@ def isolate_real_roots(p: Sequence, lo=None, hi=None, chain=None) -> list[tuple]
             out.append(("interval", a, b))
             return
         mid = (a + b) / 2
-        vm = _variations(chain, mid)
-        if vm is None:
+        sm, vm = evaluate(mid)
+        if not sm:
             eps = (b - a) / 4
             while True:
                 l2, r2 = mid - eps, mid + eps
-                vl, vr = _variations(chain, l2), _variations(chain, r2)
-                if vl is not None and vr is not None and vl - vr == 1:
+                (sl, vl), (sr, vr) = evaluate(l2), evaluate(r2)
+                if sl and sr and vl - vr == 1:
                     break
                 eps /= 2
             rec(a, l2, va, vl)
@@ -267,8 +270,8 @@ def isolate_real_roots(p: Sequence, lo=None, hi=None, chain=None) -> list[tuple]
             rec(a, mid, va, vm)
             rec(mid, b, vm, vb)
 
-    va, vb = _variations(chain, lo), _variations(chain, hi)
-    if va is None or vb is None:
+    (sa, va), (sb, vb) = evaluate(lo), evaluate(hi)
+    if not (sa and sb):
         raise ValueError("isolation endpoints must not be roots")
     rec(lo, hi, va, vb)
     return out
@@ -318,7 +321,7 @@ def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int] | None
     which is nearer; a root exactly there is rounded half to even.
     """
     chain = sturm_chain(p)
-    markers = isolate_real_roots(p, lo, hi, chain=chain)
+    markers = isolate_real_roots(p, lo, hi, evaluate=partial(_variations, chain))
     if not markers:
         return None
     if markers[-1][0] == "point":
@@ -351,50 +354,3 @@ def largest_real_root_float(p: Sequence, lo=None, hi=None) -> float | None:
     """The double nearest the largest real root of p in (lo, hi), or None."""
     top = _nearest_top_root(p, lo, hi)
     return None if top is None else top[0]
-
-
-# ---------------------------------------------------------------------------
-# sparse (exponent -> integer coefficient) helpers
-# ---------------------------------------------------------------------------
-
-
-def sp_trim(d: Sparse) -> Sparse:
-    return {e: c for e, c in d.items() if c != 0}
-
-
-def sp_monomial(exp: int, coeff: int = 1) -> Sparse:
-    return {exp: coeff} if coeff else {}
-
-
-def sp_add(a: Sparse, b: Sparse) -> Sparse:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-    return sp_trim(out)
-
-
-def sp_sub(a: Sparse, b: Sparse) -> Sparse:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) - c
-    return sp_trim(out)
-
-
-def sp_mul(a: Sparse, b: Sparse) -> Sparse:
-    out: Sparse = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            out[e] = out.get(e, 0) + ca * cb
-    return sp_trim(out)
-
-
-def sp_pow(a: Sparse, k: int) -> Sparse:
-    out: Sparse = {0: 1}
-    for _ in range(k):
-        out = sp_mul(out, a)
-    return out
-
-
-def sp_equal(a: Sparse, b: Sparse) -> bool:
-    return sp_trim(a) == sp_trim(b)

@@ -12,9 +12,12 @@ Route one is shifted nonnegative-tensor power iteration on B = A + I
 (diagonal shift sigma = 1 forces convergence on bipartite-flavored
 structures), with the Collatz-Wielandt bracket
 min_i (Bx)_i / x_i^(r-1) <= rho(B) <= max_i (...) driving the stopping
-rule.  Route two, for hyperforests, reads rho off the matching
-polynomial: substituting z = x^r turns phi into x^(n-nu*r) p(z), and rho
-is the r-th root of the largest real root of p.  That root is read by
+rule.  Each connected component gets one edge-index array and one set of
+product buffers, built before its first step; a step fills the buffers
+in place and scatters them onto the vertices with one `np.bincount`.
+Route two, for hyperforests, reads rho off the matching polynomial:
+substituting z = x^r turns phi into x^(n-nu*r) p(z), and rho is the r-th
+root of the largest real root of p.  That root is read by
 the top-root kernel in `polynomials` that also serves the closed-form
 bounds: exact isolation on an integer Sturm chain, then sign bisection
 on the square-free part in integer arithmetic until both ends round to
@@ -64,24 +67,42 @@ class SpectralResult:
     iterations: int = 0
 
 
+def _adjacency(H: Hypergraph):
+    """The map x -> A x of H, as a function of a float vector of length n.
+
+    H's edge-index array, its flat view and the prefix/suffix product
+    buffers are built once; each call fills the buffers in place and
+    scatters the products with `np.bincount`, which adds up each vertex's
+    products in edge order, starting from zero.
+    """
+    n = H.n
+    if H.m == 0:  # np.bincount would return ints
+        return lambda x: np.zeros(n)
+    E = np.array(H.edges, dtype=np.intp)
+    flat = E.ravel()
+    r = E.shape[1]
+    prefix = np.ones(E.shape)
+    suffix = np.ones(E.shape)
+    products = np.empty(E.shape)
+    weights = products.ravel()
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        X = x[E]
+        for j in range(1, r):
+            np.multiply(prefix[:, j - 1], X[:, j - 1], out=prefix[:, j])
+            np.multiply(suffix[:, r - j], X[:, r - j], out=suffix[:, r - 1 - j])
+        np.multiply(prefix, suffix, out=products)
+        return np.bincount(flat, weights=weights, minlength=n)
+
+    return apply
+
+
 def apply_adjacency(H: Hypergraph, x) -> np.ndarray:
     """Evaluate (A x) without materializing the tensor."""
     x = np.asarray(x, dtype=float)
     if x.shape != (H.n,):
         raise ValueError(f"vector has shape {x.shape}, expected ({H.n},)")
-    out = np.zeros(H.n)
-    if H.m == 0:
-        return out
-    E = np.array(H.edges, dtype=int)
-    X = x[E]
-    r = E.shape[1]
-    prefix = np.ones_like(X)
-    suffix = np.ones_like(X)
-    for j in range(1, r):
-        prefix[:, j] = prefix[:, j - 1] * X[:, j - 1]
-        suffix[:, r - 1 - j] = suffix[:, r - j] * X[:, r - j]
-    np.add.at(out, E, prefix * suffix)
-    return out
+    return _adjacency(H)(x)
 
 
 def residual(H: Hypergraph, lam: float, x) -> float:
@@ -91,7 +112,7 @@ def residual(H: Hypergraph, lam: float, x) -> float:
         raise ValueError(f"vector has shape {x.shape}, expected ({H.n},)")
     if not np.any(x):
         raise ValueError("eigenvector must be nonzero")
-    return float(np.max(np.abs(apply_adjacency(H, x) - lam * x ** (H.r - 1))))
+    return float(np.max(np.abs(_adjacency(H)(x) - lam * x ** (H.r - 1))))
 
 
 def _power_connected(
@@ -101,14 +122,15 @@ def _power_connected(
     collect_brackets: Optional[list] = None,
 ) -> SpectralResult:
     n, r = H.n, H.r
-    if H.m == 0:
-        x = np.full(n, n ** (-1.0 / r))
-        return SpectralResult(0.0, "power", eigenvector=x, residual=0.0, iterations=0)
     x = np.full(n, n ** (-1.0 / r))
+    if H.m == 0:
+        return SpectralResult(0.0, "power", eigenvector=x, residual=0.0, iterations=0)
+    adjacency = _adjacency(H)
     shift = 1.0
     for it in range(1, max_iter + 1):
-        y = apply_adjacency(H, x) + x ** (r - 1)
-        ratios = y / x ** (r - 1)
+        x_r1 = x ** (r - 1)
+        y = adjacency(x) + x_r1
+        ratios = y / x_r1
         lo = float(ratios.min())
         hi = float(ratios.max())
         if collect_brackets is not None:
@@ -123,7 +145,7 @@ def _power_connected(
                 iterations=it,
             )
         x = y ** (1.0 / (r - 1))
-        x = x / (np.sum(x**r)) ** (1.0 / r)
+        x = x / ((x**r).sum()) ** (1.0 / r)
     raise PowerIterationError(
         f"bracket width {hi - lo:.3e} above tol {tol:.3e} after {max_iter} iterations",
         (lo - shift, hi - shift),

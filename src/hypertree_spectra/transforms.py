@@ -119,15 +119,16 @@ def edge_release(H: Hypergraph, e: Iterable[int]) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
-def _top_root_marker(p: list[int], chain: list) -> tuple:
+def _top_root_marker(p: list[int], evaluate) -> tuple:
     """Largest real root of p as ('point', q) or ('interval', a, b), isolated
-    on p's Sturm `chain`.
+    on p's Sturm chain as evaluated by `evaluate` (see
+    `poly.isolate_real_roots`).
 
     Degree-zero p (an edgeless hyperforest) pins the boundary at z = 0.
     """
     if poly.degree(p) <= 0:
         return ("point", Fraction(0))
-    markers = poly.isolate_real_roots(p, chain=chain)
+    markers = poly.isolate_real_roots(p, evaluate=evaluate)
     if not markers:
         raise RuntimeError("matching polynomial lost its real root")
     return markers[-1]
@@ -164,21 +165,38 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
     # polynomials are tuples from here on: D is primitive, so gcd(p1, D)
     # is this very tuple when D divides p1
     p1, D = tuple(p1), tuple(poly.primitive(D))
-    # per call: one Sturm chain per distinct polynomial, one sign test and
-    # one chain evaluation per (polynomial, point)
-    sign = functools.cache(poly.sign_at)
+    # per call, isolations included: one Sturm chain per polynomial, one
+    # chain evaluation and one sign per (polynomial, point), the sign read
+    # off the chain's first element where the chain was evaluated; a point
+    # is keyed by its numerator and denominator (a Fraction hashes slowly)
     chain_of = functools.cache(poly.sturm_chain)
-    variations = functools.cache(lambda p, x: poly._variations(chain_of(p), x))
+    evaluated: dict = {}
+    signs: dict = {}
+
+    def evaluate(p: tuple, x: Fraction) -> tuple[int, int]:
+        key = (p, x.numerator, x.denominator)
+        value = evaluated.get(key)
+        if value is None:
+            value = evaluated[key] = poly._variations(chain_of(p), x)
+            signs[key] = value[0]
+        return value
+
+    def sign(p: tuple, x: Fraction) -> int:
+        key = (p, x.numerator, x.denominator)
+        s = signs.get(key)
+        if s is None:
+            s = signs[key] = poly.sign_at(p, x)
+        return s
 
     def roots_in(p: tuple, a: Fraction, b: Fraction) -> int:
         """Distinct roots of p in (a, b]; the ends must not be roots."""
-        return variations(p, a) - variations(p, b)
+        return evaluate(p, a)[1] - evaluate(p, b)[1]
 
     def nonroot(polys: tuple, a: Fraction, b: Fraction) -> Fraction:
         """`poly.pick_nonroot` through this call's sign tests."""
         return next(x for x in poly._dyadic_points(a, b) if all(sign(p, x) for p in polys))
 
-    marker = _top_root_marker(p1, chain_of(p1))
+    marker = _top_root_marker(p1, functools.partial(evaluate, p1))
     if marker[0] == "point":
         z1 = marker[1]
         witness["boundary"] = [str(z1), str(z1)]
@@ -219,7 +237,9 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
     bound = poly.cauchy_bound(effective) + 1
     if start >= bound:
         bound = start + 1
-    markers = poly.isolate_real_roots(effective, lo=start, hi=bound, chain=chain_of(effective))
+    markers = poly.isolate_real_roots(
+        effective, lo=start, hi=bound, evaluate=functools.partial(evaluate, effective)
+    )
     # one sample per gap between consecutive roots of `effective`:
     # `start` covers the gap before the first root, an interval marker's
     # right endpoint covers the gap after its root, and a rational root

@@ -39,7 +39,7 @@ from hypertree_spectra import (
 from hypertree_spectra.constructions import CompositionVector
 from hypertree_spectra.enumeration import NAIVE_FILTER_CELLS
 from hypertree_spectra.harness import SuiteConfig
-from hypertree_spectra.polynomials import sp_equal, sp_monomial, sp_mul, sp_pow, sp_sub
+from sparse_poly import sp_equal, sp_monomial, sp_mul, sp_pow, sp_sub
 from hypertree_spectra.transforms import PRECEDES_STRICT, is_majorized, majorization_chain
 
 DESK_RANGE = [(2, 8), (3, 6), (4, 5)]

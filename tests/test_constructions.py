@@ -22,7 +22,7 @@ from hypertree_spectra import (
     spectral_radius_polyroot,
     validate,
 )
-from hypertree_spectra.polynomials import sp_equal, sp_monomial, sp_mul, sp_pow, sp_sub
+from sparse_poly import sp_equal, sp_monomial, sp_mul, sp_pow, sp_sub
 
 from conftest import path_graph
 

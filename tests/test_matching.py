@@ -25,7 +25,7 @@ from hypertree_spectra import (
     random_hypertree,
     single_edge,
 )
-from hypertree_spectra.polynomials import sp_equal, sp_mul, sp_sub
+from sparse_poly import sp_equal, sp_mul, sp_sub
 
 from conftest import path_graph
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hypertree_spectra import polynomials as poly
+from sparse_poly import sp_add, sp_equal, sp_monomial, sp_mul, sp_pow, sp_sub
 
 
 def test_dense_basics():
@@ -132,10 +133,10 @@ def test_pick_nonroot_avoids_roots():
 
 
 def test_sparse_ops():
-    a = poly.sp_monomial(4)  # x^4
+    a = sp_monomial(4)  # x^4
     b = {2: -3, 0: 1}
-    assert poly.sp_add(a, b) == {4: 1, 2: -3, 0: 1}
-    assert poly.sp_sub(a, a) == {}
-    assert poly.sp_mul({1: 1, 0: 1}, {1: 1, 0: -1}) == {2: 1, 0: -1}
-    assert poly.sp_pow({1: 1, 0: -1}, 2) == {2: 1, 1: -2, 0: 1}
-    assert poly.sp_equal({0: 0, 3: 2}, {3: 2})
+    assert sp_add(a, b) == {4: 1, 2: -3, 0: 1}
+    assert sp_sub(a, a) == {}
+    assert sp_mul({1: 1, 0: 1}, {1: 1, 0: -1}) == {2: 1, 0: -1}
+    assert sp_pow({1: 1, 0: -1}, 2) == {2: 1, 1: -2, 0: 1}
+    assert sp_equal({0: 0, 3: 2}, {3: 2})

@@ -1,22 +1,29 @@
 """Adjacency-tensor application, power iteration, and the polynomial route."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from hypertree_spectra import (
     Hypergraph,
+    PowerIterationError,
     apply_adjacency,
     build_Ra,
+    connected_components,
     delete_edge,
+    disjoint_union,
     enumerate_hypertrees,
     hyperstar,
+    random_hyperforest,
     residual,
+    restrict,
     single_edge,
     spectral_radius_polyroot,
     spectral_radius_power,
 )
+from hypertree_spectra.enumeration import random_hypertree
 
 from conftest import path_graph
 
@@ -163,3 +170,112 @@ def test_forest_rho_is_component_max():
         expected = max(spectral_radius_polyroot(P).rho for P in parts)
         assert spectral_radius_polyroot(F).rho == pytest.approx(expected, abs=1e-12)
         assert spectral_radius_power(F).rho == pytest.approx(expected, abs=1e-9)
+
+
+# --- the power route as first written, kept as a byte-level reference ---
+
+
+def _reference_apply(H, x):
+    """(A x) with a fresh index array and buffers, scattered by np.add.at."""
+    out = np.zeros(H.n)
+    if H.m == 0:
+        return out
+    E = np.array(H.edges, dtype=int)
+    X = x[E]
+    r = E.shape[1]
+    prefix = np.ones_like(X)
+    suffix = np.ones_like(X)
+    for j in range(1, r):
+        prefix[:, j] = prefix[:, j - 1] * X[:, j - 1]
+        suffix[:, r - 1 - j] = suffix[:, r - j] * X[:, r - j]
+    np.add.at(out, E, prefix * suffix)
+    return out
+
+
+def _reference_residual(H, lam, x):
+    return float(np.max(np.abs(_reference_apply(H, x) - lam * x ** (H.r - 1))))
+
+
+def _reference_connected(H, brackets, tol=1e-10, max_iter=10**6):
+    n, r = H.n, H.r
+    x = np.full(n, n ** (-1.0 / r))
+    if H.m == 0:
+        return 0.0, x, 0.0, 0
+    shift = 1.0
+    for it in range(1, max_iter + 1):
+        y = _reference_apply(H, x) + x ** (r - 1)
+        ratios = y / x ** (r - 1)
+        lo = float(ratios.min())
+        hi = float(ratios.max())
+        brackets.append((lo - shift, hi - shift))
+        if hi - lo <= tol:
+            rho = (lo + hi) / 2 - shift
+            return rho, x, _reference_residual(H, rho, x), it
+        x = y ** (1.0 / (r - 1))
+        x = x / (np.sum(x**r)) ** (1.0 / r)
+    raise AssertionError("reference iteration did not converge")
+
+
+def _reference_power(H, brackets):
+    """(rho, eigenvector, residual, iterations), component by component."""
+    comps = connected_components(H)
+    if len(comps) == 1:
+        return _reference_connected(H, brackets)
+    best, best_comp, iterations = None, None, 0
+    for comp in comps:
+        res = _reference_connected(restrict(H, comp).hypergraph, brackets)
+        iterations += res[3]
+        if best is None or res[0] > best[0]:
+            best, best_comp = res, comp
+    x = np.zeros(H.n)
+    x[np.array(best_comp, dtype=int)] = best[1]
+    return best[0], x, _reference_residual(H, best[0], x), iterations
+
+
+def test_power_route_bytes_match_reference():
+    """rho, iterations, eigenvector, residual and every bracket are the
+    bytes of the route as first written."""
+    rng = random.Random(2024)
+    cases = [random_hypertree(m, r, rng) for r in range(2, 7) for m in (1, 3, 17, 60)]
+    cases.append(random_hyperforest([5, 1, 8], 3, rng))
+    cases.append(disjoint_union(random_hypertree(4, 2, rng), Hypergraph(2, 2, ())))
+    cases.append(Hypergraph(4, 6, ()))
+    for H in cases:
+        got_brackets, want_brackets = [], []
+        res = spectral_radius_power(H, collect_brackets=got_brackets)
+        rho, x, res_want, iterations = _reference_power(H, want_brackets)
+        assert (repr(res.rho), res.iterations) == (repr(rho), iterations), H.edges
+        assert res.eigenvector.tobytes() == x.tobytes(), H.edges
+        assert repr(res.residual) == repr(res_want), H.edges
+        assert got_brackets == want_brackets, H.edges
+
+
+def test_apply_adjacency_matches_edge_loop():
+    """Against a per-edge loop, exactly: small integer entries keep every
+    product and sum exact, whatever the order of operations."""
+    rng = random.Random(17)
+    for r in range(2, 7):
+        for m in (0, 1, 4, 25):
+            H = random_hypertree(m, r, rng) if m else Hypergraph(r, 5, ())
+            x = [float(rng.randint(0, 3)) for _ in range(H.n)]
+            want = [0.0] * H.n
+            for e in H.edges:
+                for i in e:
+                    want[i] += math.prod(x[j] for j in e if j != i)
+            got = apply_adjacency(H, x)
+            assert got.dtype == np.float64 and got.shape == (H.n,)
+            assert got.tolist() == want, (r, m)
+            assert apply_adjacency(H, x).tobytes() == _reference_apply(H, np.array(x)).tobytes()
+
+
+def test_power_failure_reports_last_bracket():
+    """A bracket that has not closed after max_iter steps raises, carrying
+    the step count and a bracket that still holds rho."""
+    brackets = []
+    with pytest.raises(PowerIterationError) as info:
+        spectral_radius_power(path_graph(40), max_iter=5, collect_brackets=brackets)
+    assert info.value.iterations == 5
+    assert len(brackets) == 5
+    assert info.value.bracket == brackets[-1]
+    lo, hi = info.value.bracket
+    assert lo <= spectral_radius_polyroot(path_graph(40)).rho <= hi

@@ -166,13 +166,10 @@ def test_compare_order_chains_each_polynomial_once(monkeypatch):
 
 
 def test_compare_order_evaluates_each_point_once(monkeypatch):
-    """Within one boundary search each (chain, point) count is made once.
-
-    What is left are the handoffs across `isolate_real_roots`: the end of
-    p1's isolating interval, counted there and again by the search, and
-    the boundary, counted by the search and again as the start of the
-    isolation above it.  So at most two evaluations repeat per call.
-    """
+    """Within one boundary search each (chain, point) count is made once,
+    the counts made inside `isolate_real_roots` included: the end of p1's
+    isolating interval is not counted again by the search, nor the
+    boundary again as the start of the isolation above it."""
     from hypertree_spectra import disjoint_union, random_hyperforest
     from hypertree_spectra import polynomials as poly
     from hypertree_spectra import transforms
@@ -188,7 +185,7 @@ def test_compare_order_evaluates_each_point_once(monkeypatch):
     def one_call(*args):
         seen.clear()
         out = dominates(*args)
-        assert len(seen) - len(set(seen)) <= 2
+        assert len(seen) == len(set(seen))
         return out
 
     monkeypatch.setattr(poly, "_variations", counted)
@@ -203,29 +200,41 @@ def test_compare_order_evaluates_each_point_once(monkeypatch):
 
 def test_compare_order_tests_each_sign_once(monkeypatch):
     """One exact sign test per (polynomial, point) within a boundary search,
-    counting the tests made inside the helpers it calls."""
+    counting the tests made inside the helpers it calls, and none where
+    that polynomial's Sturm chain was already evaluated: the chain's first
+    element gives the sign there."""
     from hypertree_spectra import disjoint_union, random_hyperforest
     from hypertree_spectra import polynomials as poly
     from hypertree_spectra import transforms
 
     seen = []
+    chained = set()  # (chain's first element, point) evaluated in this call
     tests = 0
     sign_at = poly.sign_at
+    variations = poly._variations
     dominates = transforms._dominates_from
 
     def counted(p, x):
-        seen.append((tuple(p), Fraction(x)))
+        key = (tuple(p), Fraction(x))
+        assert key not in chained
+        seen.append(key)
         return sign_at(p, x)
+
+    def counted_chain(chain, x):
+        chained.add((tuple(chain[0]), Fraction(x)))
+        return variations(chain, x)
 
     def one_call(*args):
         nonlocal tests
         seen.clear()
+        chained.clear()
         out = dominates(*args)
         assert len(seen) == len(set(seen))
         tests += len(seen)
         return out
 
     monkeypatch.setattr(poly, "sign_at", counted)
+    monkeypatch.setattr(poly, "_variations", counted_chain)
     monkeypatch.setattr(transforms, "_dominates_from", one_call)
     rng = random.Random(7)
     for _ in range(40):
