@@ -18,6 +18,7 @@ isolation on an integer polynomial, as the double nearest the root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Union
 
 from . import polynomials as poly
@@ -42,8 +43,12 @@ class ExtremalParams:
 
 @dataclass(frozen=True)
 class BoundResult:
+    """`certificate`: alpha0's final rational bracket from the top-root
+    kernel (`polynomials._nearest_top_root`)."""
+
     alpha0: float
     rho: float
+    certificate: tuple
 
 
 @dataclass(frozen=True)
@@ -220,11 +225,11 @@ def rho_bound(m: int, k: int, r: int) -> BoundResult:
     if not p.feasible:
         raise InfeasibleParameters(f"no hypertree with m={m}, k={k}, r={r}")
     if p.q == 0 and p.s == 0 and p.l == 0:
-        return BoundResult(alpha0=0.0, rho=1.0)
+        return BoundResult(0.0, 1.0, (Fraction(0), Fraction(0)))
     G = _cleared_bound_poly(r, p.q, p.s, p.l)
     G = G[next(i for i, c in enumerate(G) if c) :]
-    alpha0 = poly.largest_real_root_float(G, 0, 1)
-    return BoundResult(alpha0=alpha0, rho=(1.0 / (1.0 - alpha0)) ** (1.0 / r))
+    alpha0, _, bracket = poly._nearest_top_root(G, 0, 1)
+    return BoundResult(alpha0, (1.0 / (1.0 - alpha0)) ** (1.0 / r), bracket)
 
 
 def perfect_matching_bound(m: int, r: int) -> BoundResult:
@@ -239,6 +244,6 @@ def perfect_matching_bound(m: int, r: int) -> BoundResult:
             f"m={m}, r={r}: perfect matching needs r | m(r-1)+1 (n={n})"
         )
     if m == 1:
-        return BoundResult(alpha0=0.0, rho=1.0)
-    alpha0 = poly.largest_real_root_float([1 - m, m - 1] + [0] * (r - 2) + [r], 0, 1)
-    return BoundResult(alpha0=alpha0, rho=(1.0 / (1.0 - alpha0)) ** (1.0 / r))
+        return BoundResult(0.0, 1.0, (Fraction(0), Fraction(0)))
+    alpha0, _, bracket = poly._nearest_top_root([1 - m, m - 1] + [0] * (r - 2) + [r], 0, 1)
+    return BoundResult(alpha0, (1.0 / (1.0 - alpha0)) ** (1.0 / r), bracket)

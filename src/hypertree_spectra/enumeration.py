@@ -30,7 +30,7 @@ from .hypergraph import (
     canonical_code,
     single_edge,
 )
-from .matching import matching_number
+from .matching import _counts
 from .spectral import spectral_radius_polyroot
 
 
@@ -50,12 +50,17 @@ def attach_pendent(H: Hypergraph, v: int) -> Hypergraph:
     return Hypergraph(H.r, H.n + H.r - 1, H.edges + (edge,))
 
 
-@lru_cache(maxsize=None)
 def enumerate_hypertrees(m: int, r: int) -> tuple[Hypergraph, ...]:
     """All r-uniform hypertrees with m edges, one per isomorphism class.
 
     Deterministic: output is sorted by canonical code.
     """
+    return tuple(_classes(m, r).values())
+
+
+@lru_cache(maxsize=None)
+def _classes(m: int, r: int) -> dict[CanonicalCode, Hypergraph]:
+    """The classes of `enumerate_hypertrees` keyed by canonical code, in code order."""
     if r < 2:
         raise ValueError("edge size must be at least 2")
     if m < 1:
@@ -63,7 +68,7 @@ def enumerate_hypertrees(m: int, r: int) -> tuple[Hypergraph, ...]:
     if m > max_edges_guard(r):
         raise ValueError(f"m={m} exceeds the enumeration guard for r={r}")
     if m == 1:
-        return (single_edge(r),)
+        return {canonical_code(single_edge(r)): single_edge(r)}
     seen: dict[CanonicalCode, Hypergraph] = {}
     for smaller in enumerate_hypertrees(m - 1, r):
         for v in range(smaller.n):
@@ -71,7 +76,7 @@ def enumerate_hypertrees(m: int, r: int) -> tuple[Hypergraph, ...]:
             code = canonical_code(grown)
             if code not in seen:
                 seen[code] = grown
-    return tuple(seen[code] for code in sorted(seen))
+    return {code: seen[code] for code in sorted(seen)}
 
 
 def random_hypertree(m: int, r: int, rng: random.Random) -> Hypergraph:
@@ -99,7 +104,7 @@ class EnumerationRecord:
     hypergraph: Hypergraph
     nu: int
     rho: float
-    is_extremal: bool = False
+    certificate: tuple  # polyroot's rational bracket of rho^r
 
 
 def enumerate_T_mkr(
@@ -110,15 +115,11 @@ def enumerate_T_mkr(
     Records come out in canonical-code order, rho attached via the
     polynomial-root method.
     """
-    for H in enumerate_hypertrees(m, r):
-        nu = matching_number(H)
+    for H, code in zip(enumerate_hypertrees(m, r), _classes(m, r)):
+        nu = len(_counts(H)) - 1  # generated hypertrees need no validation
         if nu == k or (at_least and nu > k):
-            yield EnumerationRecord(
-                code=canonical_code(H),
-                hypergraph=H,
-                nu=nu,
-                rho=spectral_radius_polyroot(H).rho,
-            )
+            root = spectral_radius_polyroot(H)
+            yield EnumerationRecord(code, H, nu, root.rho, root.certificate)
 
 
 # ---------------------------------------------------------------------------

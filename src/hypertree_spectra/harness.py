@@ -4,9 +4,11 @@ For a feasible (m, k, r) the verifier enumerates every hypertree class
 with m edges and matching number k (or >= k under the alternate
 interpretation), finds the class of maximum spectral radius, and checks
 that it is unique, isomorphic to the loaded star A(m, k, r), and matches
-the closed-form bound.  Failures are reported, not raised; infeasible
-parameter triples raise InfeasibleParameters so batch drivers can mark
-the row and move on.
+the closed-form bound.  These verdicts are exact, decided on the rational
+brackets of rho^r and alpha0 that the top-root kernel hands out, with no
+float tolerance.  Failures are reported, not raised; infeasible parameter
+triples raise InfeasibleParameters so batch drivers can mark the row and
+move on.
 """
 
 from __future__ import annotations
@@ -14,21 +16,22 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cmp_to_key
 from typing import Optional
 
+from . import polynomials as poly
 from .constructions import (
     InfeasibleParameters,
+    _cleared_bound_poly,
     build_A,
     extremal_params,
     perfect_matching_bound,
     rho_bound,
 )
-from .enumeration import enumerate_T_mkr, max_edges_guard
+from .enumeration import EnumerationRecord, enumerate_T_mkr, max_edges_guard
 from .hypergraph import canonical_code
-
-BOUND_TOL = 1e-8
-GAP_TOL = 1e-9
+from .matching import matching_counts
 
 CSV_COLUMNS = [
     "m",
@@ -82,32 +85,44 @@ class VerificationReport:
         }
 
 
-def verify_extremal(
-    m: int,
-    k: int,
-    r: int,
-    at_least: bool = False,
-    bound_tol: float = BOUND_TOL,
-    gap_tol: float = GAP_TOL,
-) -> VerificationReport:
-    """Exhaustively check that A(m, k, r) is the unique rho maximizer.
+def _compare(a: EnumerationRecord, b: EnumerationRecord) -> int:
+    """Sign of rho_a - rho_b: read off the brackets of rho^r where they do
+    not overlap, from `compare_top_roots` where they do."""
+    below, above = a.certificate[1] <= b.certificate[0], b.certificate[1] <= a.certificate[0]
+    if below or above:  # both only for the same point twice
+        return above - below
+    return poly.compare_top_roots(*(matching_counts(x.hypergraph).z_poly() for x in (a, b)))
 
-    Uniqueness is asserted with a rho gap of `gap_tol` between best and
-    second best so floating-point ties cannot masquerade as
-    counterexamples; the true desk-scale gaps are far larger.
-    """
+
+def _matches_bound(winner: EnumerationRecord, G: list[int], alpha_bracket: tuple) -> bool:
+    """Whether the winner's rho^r equals 1/(1 - alpha0), alpha0 the root of G
+    in `alpha_bracket`.  x -> 1/(1 - x) maps that bracket onto one holding
+    no root of B(z) = z^deg(G) G(1 - 1/z) but 1/(1 - alpha0), as the
+    winner's bracket holds no root of its z-polynomial p but rho^r, and no
+    end of either is a root.  So they are equal iff gcd(p, B) has a root in both."""
+    B, power = [], [1]
+    for i, c in enumerate(G):  # c (z - 1)^i z^(deg G - i)
+        B = poly.add(B, poly.mul_xpow([c * x for x in power], len(G) - 1 - i))
+        power = poly.mul(power, [-1, 1])
+    g = poly.poly_gcd(matching_counts(winner.hypergraph).z_poly(), B)
+    lo = max(winner.certificate[0], 1 / (1 - alpha_bracket[0]))
+    hi = min(winner.certificate[1], 1 / (1 - alpha_bracket[1]))
+    if lo == hi:
+        return poly.sign_at(g, lo) == 0
+    return lo < hi and poly.count_real_roots(poly.sturm_chain(g), lo, hi) > 0
+
+
+def _verify(m: int, k: int, r: int, at_least: bool, bound_of) -> VerificationReport:
+    """The report against `bound_of(m, k, r)`, whose alpha0 is a root of `_cleared_bound_poly`."""
     params = extremal_params(m, k, r)
     if not params.feasible:
         raise InfeasibleParameters(f"no hypertree with m={m}, k={k}, r={r}")
     records = list(enumerate_T_mkr(m, k, r, at_least=at_least))
     if not records:
         raise RuntimeError(f"feasible parameters produced no classes: {(m, k, r)}")
-    records.sort(key=lambda rec: (-rec.rho, rec.code))
-    winner = records[0]
-    winner.is_extremal = True
-    unique = len(records) == 1 or winner.rho - records[1].rho > gap_tol
-    bound = rho_bound(m, k, r)
-    target_code = canonical_code(build_A(m, k, r))
+    winner = max(records, key=cmp_to_key(_compare))  # the first of equals: the lowest code
+    bound = bound_of(m, k, r)
+    G = _cleared_bound_poly(r, params.q, params.s, params.l)
     return VerificationReport(
         m=m,
         k=k,
@@ -116,32 +131,34 @@ def verify_extremal(
         winner_code=winner.code,
         winner_rho=winner.rho,
         bound_rho=bound.rho,
-        unique=unique,
-        matches_bound=abs(winner.rho - bound.rho) <= bound_tol,
-        winner_is_construction=winner.code == target_code,
+        unique=all(_compare(rec, winner) < 0 for rec in records if rec is not winner),
+        matches_bound=_matches_bound(winner, G, bound.certificate),
+        winner_is_construction=winner.code == canonical_code(build_A(m, k, r)),
         interpretation="at-least-nu" if at_least else "exact-nu",
     )
 
 
-def verify_perfect_matching(
-    r: int,
-    k: int,
-    bound_tol: float = BOUND_TOL,
-    gap_tol: float = GAP_TOL,
-) -> VerificationReport:
+def verify_extremal(m: int, k: int, r: int, at_least: bool = False) -> VerificationReport:
+    """Exhaustively check that A(m, k, r) is the unique rho maximizer.
+
+    The verdicts are exact: classes are ordered by the rational brackets
+    of their rho^r (`_compare`), and the bound is matched by a common root
+    of two integer polynomials (`_matches_bound`).
+    """
+    return _verify(m, k, r, at_least, rho_bound)
+
+
+def verify_perfect_matching(r: int, k: int) -> VerificationReport:
     """Extremality among hypertrees with a perfect matching.
 
     m is forced to (kr - 1)/(r - 1); non-integral m is an error.  The
-    bound comes from the perfect-matching specialization.
+    bound comes from the perfect-matching specialization: there s = l = 0,
+    and r a^r + (m - 1) a - (m - 1) is r times `_cleared_bound_poly`.
     """
     if (k * r - 1) % (r - 1):
         raise ValueError(f"(kr-1)/(r-1) is not an integer for r={r}, k={k}")
     m = (k * r - 1) // (r - 1)
-    report = verify_extremal(m, k, r, at_least=False, bound_tol=bound_tol, gap_tol=gap_tol)
-    special = perfect_matching_bound(m, r)
-    report.bound_rho = special.rho
-    report.matches_bound = abs(report.winner_rho - special.rho) <= bound_tol
-    return report
+    return _verify(m, k, r, False, lambda m, k, r: perfect_matching_bound(m, r))
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +173,16 @@ class SuiteConfig:
     triples: list[tuple[int, int, int]] = field(default_factory=list)
     ranges: list[tuple[int, int]] = field(default_factory=list)  # (r, m_max)
     at_least: bool = False
-    bound_tol: float = BOUND_TOL
-    gap_tol: float = GAP_TOL
     csv_path: Optional[str] = None
     json_path: Optional[str] = None
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SuiteConfig":
-        """Data of the wrong shape raises ValueError naming the field."""
+        """Data of the wrong shape, or an unknown key, raises ValueError naming the field."""
         if not isinstance(data, dict):
             raise ValueError(f"a suite config is a JSON object, not a {type(data).__name__}")
+        if unknown := sorted(set(data) - {f.name for f in fields(cls)}):
+            raise ValueError(f"unknown suite field {unknown[0]!r}")
         triples, ranges = data.get("triples", []), data.get("ranges", [])
         if not (isinstance(triples, list) and all(isinstance(t, list) and len(t) == 3 for t in triples)):
             raise ValueError("suite field 'triples' must be a list of [m, k, r] lists")
@@ -174,18 +191,14 @@ class SuiteConfig:
         ranges = [(d.get("r"), d.get("m_max")) for d in ranges]
         if not all(type(x) is int for t in triples + ranges for x in t):
             raise ValueError("suite fields 'triples' and 'ranges' must hold integers ('r', 'm_max')")
-        number, path = (int, float), (str, type(None))
-        for key, kind in (
-            ("at_least", bool), ("bound_tol", number), ("gap_tol", number), ("csv_path", path), ("json_path", path)
-        ):
+        path = (str, type(None))
+        for key, kind in (("at_least", bool), ("csv_path", path), ("json_path", path)):
             if key in data and not isinstance(data[key], kind):
                 raise ValueError(f"suite field {key!r} cannot be {data[key]!r}")
         return cls(
             triples=[tuple(t) for t in triples],
             ranges=ranges,
             at_least=bool(data.get("at_least", False)),
-            bound_tol=float(data.get("bound_tol", BOUND_TOL)),
-            gap_tol=float(data.get("gap_tol", GAP_TOL)),
             csv_path=data.get("csv_path"),
             json_path=data.get("json_path"),
         )
@@ -245,9 +258,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
                 }
             )
             continue
-        report = verify_extremal(
-            m, k, r, at_least=config.at_least, bound_tol=config.bound_tol, gap_tol=config.gap_tol
-        )
+        report = verify_extremal(m, k, r, at_least=config.at_least)
         all_passed = all_passed and report.passed
         rows.append(
             base

@@ -10,7 +10,9 @@ bisects on exact Sturm counts, and refinement bisects on the sign of the
 square-free part at dyadic points (Rouillier & Zimmermann, JCAM 162,
 2004).  Exact division is integer long division by a primitive divisor,
 so no polynomial is ever divided over the rationals.  The one float a
-top root yields is the double nearest it, decided by exact signs.
+top root yields is the double nearest it, decided by exact signs, and it
+comes with the rational bracket it was read from; `compare_top_roots`
+orders two top roots exactly where their brackets overlap.
 """
 
 from __future__ import annotations
@@ -310,9 +312,11 @@ def refine_isolating(p: Sequence, a: Fraction, b: Fraction, width: Fraction, cha
     return ("interval", Fraction(A, D), Fraction(B, D))
 
 
-def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int] | None:
-    """The double nearest the largest real root of p in (lo, hi), with the
-    number of halvings that took (0 for a root met by isolation), or None.
+def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int, tuple] | None:
+    """The double nearest the largest real root of p in (lo, hi), the
+    number of halvings that took (0 for a root met by isolation), and the
+    final rational bracket, an open interval holding no other root of p or
+    (x, x) for a root x that isolation or a halving lands on; None if no root.
 
     The root is isolated on p's integer Sturm chain, then bracketed by
     sign bisection on the square-free part (as in `refine_isolating`)
@@ -325,7 +329,7 @@ def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int] | None
     if not markers:
         return None
     if markers[-1][0] == "point":
-        return float(markers[-1][1]), 0
+        return float(markers[-1][1]), 0, markers[-1][1:] * 2
     _, a, b = markers[-1]
     q = _square_free(chain)
     D = lcm(a.denominator, b.denominator)
@@ -337,20 +341,27 @@ def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int] | None
         if nextafter(fa, fb) == fb:
             tie = (Fraction(fa) + Fraction(fb)) / 2
             s = sign_at(q, tie)
-            return (float(tie) if s == 0 else fa if s != left else fb), halvings
+            x = float(tie) if s == 0 else fa if s != left else fb
+            return x, halvings, (Fraction(A, D), Fraction(B, D))
         mid, A, B, D = A + B, 2 * A, 2 * B, 2 * D
         halvings += 1
         s, fm = _sign_scaled(q, mid, D), mid / D
         if s == 0:
-            return fm, halvings
+            return fm, halvings, (Fraction(mid, D),) * 2
         if s != left:
             B, fb = mid, fm
         else:
             A, fa = mid, fm
-    return fa, halvings
+    return fa, halvings, (Fraction(A, D), Fraction(B, D))
 
 
-def largest_real_root_float(p: Sequence, lo=None, hi=None) -> float | None:
-    """The double nearest the largest real root of p in (lo, hi), or None."""
-    top = _nearest_top_root(p, lo, hi)
-    return None if top is None else top[0]
+def compare_top_roots(p: Sequence, q: Sequence) -> int:
+    """Sign of (largest real root of p) - (largest real root of q), both
+    real: the top root of p*q, isolated once, is the larger of the two,
+    so which of p and q vanish there gives the verdict."""
+    top = isolate_real_roots(mul(p, q))[-1]
+    if top[0] == "point":
+        at_p, at_q = (sign_at(f, top[1]) == 0 for f in (p, q))
+    else:
+        at_p, at_q = (count_real_roots(sturm_chain(f), *top[1:]) > 0 for f in (p, q))
+    return at_p - at_q

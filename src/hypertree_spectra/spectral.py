@@ -58,13 +58,15 @@ class PowerIterationError(RuntimeError):
 class SpectralResult:
     """`iterations`: power steps (power route) or bisection halvings of
     rho^r's isolating interval (polyroot route, 0 for a rational rho^r
-    met by isolation)."""
+    met by isolation).  `certificate`: the polyroot route's final rational
+    bracket of rho^r (`polynomials._nearest_top_root`), if H has an edge."""
 
     rho: float
     method: str
     eigenvector: Optional[np.ndarray] = None
     residual: Optional[float] = None
     iterations: int = 0
+    certificate: Optional[tuple] = None
 
 
 def _adjacency(H: Hypergraph):
@@ -194,13 +196,13 @@ def spectral_radius_power(
     )
 
 
-def spectral_radius_polyroot(H: Hypergraph, with_residual: bool = False) -> SpectralResult:
+def spectral_radius_polyroot(H: Hypergraph) -> SpectralResult:
     """rho of a hyperforest as the r-th root of the top root of p(z).
 
-    rho is the r-th root of the double nearest that root, and
-    `iterations` the number of halvings the bisection took to find it.
-    The eigenvector field is left empty; pass with_residual=True to
-    recompute the defect against the power-method vector.
+    rho is the r-th root of the double nearest that root, `iterations`
+    the number of halvings the bisection took to find it, and
+    `certificate` the rational bracket it ended on.  The eigenvector and
+    residual fields are left empty.
     """
     _require_uniform_linear(H)
     if not is_acyclic(H):
@@ -210,14 +212,9 @@ def spectral_radius_polyroot(H: Hypergraph, with_residual: bool = False) -> Spec
     # validated above: skip matching_counts' second check
     profile = MatchingProfile(_counts(H))
     if profile.nu == 0:
-        result = SpectralResult(0.0, "polyroot")
-    else:
-        top = poly._nearest_top_root(profile.z_poly())
-        if top is None:
-            raise RuntimeError("matching polynomial with no real root in z")
-        z, halvings = top
-        result = SpectralResult(z ** (1.0 / H.r), "polyroot", iterations=halvings)
-    if with_residual:
-        power = spectral_radius_power(H)
-        result.residual = residual(H, result.rho, power.eigenvector)
-    return result
+        return SpectralResult(0.0, "polyroot")
+    top = poly._nearest_top_root(profile.z_poly())
+    if top is None:
+        raise RuntimeError("matching polynomial with no real root in z")
+    z, halvings, bracket = top
+    return SpectralResult(z ** (1.0 / H.r), "polyroot", iterations=halvings, certificate=bracket)

@@ -56,7 +56,7 @@ def test_criterion_1_extremality():
     """Unique max-rho class is A(m, k, r) and hits the bound, both readings."""
     checked = 0
     for at_least in (False, True):
-        config = SuiteConfig(ranges=DESK_RANGE, at_least=at_least, bound_tol=1e-8, gap_tol=1e-9)
+        config = SuiteConfig(ranges=DESK_RANGE, at_least=at_least)
         result = run_suite(config)
         assert result.exit_code == 0, [row for row in result.rows if not row["passed"]]
         for row in result.rows:

@@ -1,9 +1,11 @@
 """Verification reports, the suite driver, and winner structure checks."""
 
+import dataclasses
 import json
 
 import pytest
 
+from hypertree_spectra import harness, polynomials as poly
 from hypertree_spectra import (
     InfeasibleParameters,
     SuiteConfig,
@@ -15,6 +17,7 @@ from hypertree_spectra import (
     enumerate_T_mkr,
     is_pendent_edge,
     hyperstar,
+    matching_counts,
     run_suite,
     verify_extremal,
     verify_perfect_matching,
@@ -156,7 +159,6 @@ def test_suite_config_json_round_trip(tmp_path):
                 "triples": [[3, 2, 3]],
                 "ranges": [{"r": 2, "m_max": 3}],
                 "at_least": True,
-                "bound_tol": 1e-7,
             }
         )
     )
@@ -164,10 +166,39 @@ def test_suite_config_json_round_trip(tmp_path):
     assert (3, 2, 3) in config.all_triples()
     assert (3, 1, 2) in config.all_triples()
     assert config.at_least is True
-    assert config.bound_tol == 1e-7
 
 
-def test_records_carry_extremal_flag():
-    records = list(enumerate_T_mkr(4, 2, 3))
-    assert all(not rec.is_extremal for rec in records)
-    verify_extremal(4, 2, 3)
+def _coarse(rec):
+    """The record with the first isolating interval of its rho^r as its
+    bracket: still sound, but wide enough to overlap its neighbours'."""
+    top = poly.isolate_real_roots(matching_counts(rec.hypergraph).z_poly())[-1]
+    return dataclasses.replace(rec, certificate=(top[1], top[-1]))
+
+
+def test_verdicts_on_overlapping_brackets(monkeypatch):
+    """Where brackets overlap, the winner, `unique` and `matches_bound`
+    come from the exact fallback, and agree with the narrow brackets."""
+    cases = [(7, 3, 2, False), (7, 2, 2, False), (6, 3, 3, False), (5, 2, 4, True), (6, 2, 2, True)]
+    expected = [verify_extremal(*case) for case in cases]
+    calls = []
+    compare = poly.compare_top_roots
+    monkeypatch.setattr(poly, "compare_top_roots", lambda p, q: calls.append((p, q)) or compare(p, q))
+    monkeypatch.setattr(
+        harness, "enumerate_T_mkr", lambda *args, **kwargs: map(_coarse, enumerate_T_mkr(*args, **kwargs))
+    )
+    assert [verify_extremal(*case) for case in cases] == expected
+    assert len(calls) >= len(cases)
+
+
+def test_exact_tie_is_not_unique(monkeypatch):
+    """Two classes at (7, 3, 2) share rho^r = 4; one bracket is the point 4
+    and the other an open interval around it, so only the exact fallback
+    can call the tie."""
+    tied = [rec for rec in enumerate_T_mkr(7, 3, 2) if rec.rho == 2.0]
+    assert len(tied) == 2
+    assert tied[0].certificate[0] < 4 < tied[0].certificate[1] and tied[1].certificate == (4, 4)
+    monkeypatch.setattr(harness, "enumerate_T_mkr", lambda *args, **kwargs: iter(tied))
+    report = verify_extremal(7, 3, 2)
+    assert report.class_count == 2
+    assert report.winner_code == tied[0].code < tied[1].code
+    assert not report.unique and not report.matches_bound and not report.passed

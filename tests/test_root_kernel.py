@@ -2,8 +2,8 @@
 
 `sign_at` against `evaluate` over Fractions, sign bisection in
 `refine_isolating` against bisection on Sturm counts, and the doubles
-handed out by `largest_real_root_float` (behind polyroot and both
-closed-form bounds) against exact Sturm counts around them.
+handed out by `_nearest_top_root` (behind polyroot and both closed-form
+bounds) and its final brackets against exact Sturm counts around them.
 """
 
 import math
@@ -135,6 +135,22 @@ def _assert_nearest_double(p, x, hi=None):
     assert poly.count_real_roots(chain, above, top) == 0
 
 
+def _assert_bracket(p, top):
+    """The final bracket holds the top root and no other root of p: (x, x)
+    is the top root itself, an open (a, b) has nonroot ends, one root
+    inside and none above; the double handed out lies between its ends."""
+    x, _, (a, b) = top
+    assert float(a) <= x <= float(b)
+    if a == b:  # a root, inside the last isolating marker
+        last = poly.isolate_real_roots(p)[-1]
+        assert poly.sign_at(p, a) == 0 and last[1] <= a <= last[-1]
+    else:
+        chain = poly.sturm_chain(p)
+        assert poly.sign_at(p, a) != 0 and poly.sign_at(p, b) != 0
+        assert poly.count_real_roots(chain, a, b) == 1
+        assert poly.count_real_roots(chain, b, poly.cauchy_bound(p) + 1) == 0
+
+
 def test_nearest_double_on_planted_roots():
     rng = random.Random(8)
     for _ in range(150):
@@ -143,17 +159,20 @@ def test_nearest_double_on_planted_roots():
             root = [-rng.randint(-60, 60), rng.randint(1, 12)]  # d z - n
             for _ in range(rng.randint(1, 3)):
                 p = poly.mul(p, root)
-        x = poly.largest_real_root_float(p)
-        if x is None:
+        top = poly._nearest_top_root(p)
+        if top is None:
             assert poly.isolate_real_roots(p) == []
         else:
-            _assert_nearest_double(p, x)
+            _assert_nearest_double(p, top[0])
+            _assert_bracket(p, top)
 
 
 def test_nearest_double_on_matching_polynomials():
     polys, doubles = _corpus()
     for p in polys + doubles:
-        _assert_nearest_double(p, poly.largest_real_root_float(p))
+        top = poly._nearest_top_root(p)
+        _assert_nearest_double(p, top[0])
+        _assert_bracket(p, top)
 
 
 def test_bounds_are_nearest_doubles():
@@ -187,7 +206,7 @@ def test_polyroot_reads_nearest_double():
     doubled = [disjoint_union(H, H) for H in trees[::5]]
     for H in trees + doubled:
         p = _z_poly(H)
-        z = poly.largest_real_root_float(p)
+        z = poly._nearest_top_root(p)[0]
         assert spectral_radius_polyroot(H).rho == z ** (1.0 / H.r)
         _assert_nearest_double(p, z)
     # P4 + P4: the golden ratio's double, though its square is a double root
@@ -210,7 +229,7 @@ def test_root_halfway_between_doubles():
         assert marker[0] == "interval"
         assert any(d & (d - 1) for d in (marker[1].denominator, marker[2].denominator))
         # rounded half to even, as float() rounds the exact rational
-        assert poly.largest_real_root_float(p) == float(Fraction(num, 2**53)) == expected
+        assert poly._nearest_top_root(p)[0] == float(Fraction(num, 2**53)) == expected
 
 
 def test_isolation_evaluates_each_point_once(monkeypatch):

@@ -99,8 +99,6 @@ def test_polyroot_eigenvector_empty_and_optional_residual():
     res = spectral_radius_polyroot(path_graph(4))
     assert res.eigenvector is None
     assert res.residual is None
-    res = spectral_radius_polyroot(path_graph(4), with_residual=True)
-    assert res.residual is not None and res.residual <= 1e-9
 
 
 def test_polyroot_rejects_cycles():
