@@ -17,10 +17,10 @@ from .constructions import (
     perfect_matching_bound,
     rho_bound,
 )
-from .enumeration import enumerate_T_mkr, enumerate_hypertrees
+from .enumeration import _classes, enumerate_T_mkr
 from .harness import SuiteConfig, default_config, run_suite, verify_extremal
-from .hypergraph import canonical_code, load, to_json_dict, validate
-from .matching import matching_number, matching_polynomial
+from .hypergraph import load, to_json_dict, validate
+from .matching import _counts, matching_polynomial
 from .spectral import PowerIterationError, spectral_radius_polyroot, spectral_radius_power
 from .transforms import compare_order, majorization_chain
 
@@ -106,14 +106,14 @@ def _cmd_bound(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.matching is None:
-        for H in enumerate_hypertrees(args.m, args.r):
+        for code, H in _classes(args.m, args.r).items():
             print(
                 json.dumps(
                     {
-                        "code": canonical_code(H).decode("ascii"),
+                        "code": code.decode("ascii"),
                         "n": H.n,
                         "edges": [list(e) for e in H.edges],
-                        "nu": matching_number(H),
+                        "nu": len(_counts(H)) - 1,
                     }
                 )
             )

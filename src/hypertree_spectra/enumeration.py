@@ -30,8 +30,8 @@ from .hypergraph import (
     canonical_code,
     single_edge,
 )
-from .matching import _counts
-from .spectral import spectral_radius_polyroot
+from .matching import MatchingProfile, _counts
+from .spectral import _polyroot
 
 
 def max_edges_guard(r: int) -> int:
@@ -100,11 +100,15 @@ def random_hyperforest(sizes: Sequence[int], r: int, rng: random.Random) -> Hype
 
 @dataclass
 class EnumerationRecord:
+    """A class, its matching number and rho by the polyroot route, with that
+    route's rational bracket of rho^r and p(z), whose top root is rho^r."""
+
     code: CanonicalCode
     hypergraph: Hypergraph
     nu: int
     rho: float
-    certificate: tuple  # polyroot's rational bracket of rho^r
+    certificate: tuple
+    z_poly: list[int]
 
 
 def enumerate_T_mkr(
@@ -116,10 +120,10 @@ def enumerate_T_mkr(
     polynomial-root method.
     """
     for H, code in zip(enumerate_hypertrees(m, r), _classes(m, r)):
-        nu = len(_counts(H)) - 1  # generated hypertrees need no validation
-        if nu == k or (at_least and nu > k):
-            root = spectral_radius_polyroot(H)
-            yield EnumerationRecord(code, H, nu, root.rho, root.certificate)
+        profile = MatchingProfile(_counts(H))
+        if profile.nu == k or (at_least and profile.nu > k):
+            root = _polyroot(profile, r)
+            yield EnumerationRecord(code, H, profile.nu, root.rho, root.certificate, profile.z_poly())
 
 
 # ---------------------------------------------------------------------------

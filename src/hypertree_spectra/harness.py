@@ -31,7 +31,6 @@ from .constructions import (
 )
 from .enumeration import EnumerationRecord, enumerate_T_mkr, max_edges_guard
 from .hypergraph import canonical_code
-from .matching import matching_counts
 
 CSV_COLUMNS = [
     "m",
@@ -91,7 +90,7 @@ def _compare(a: EnumerationRecord, b: EnumerationRecord) -> int:
     below, above = a.certificate[1] <= b.certificate[0], b.certificate[1] <= a.certificate[0]
     if below or above:  # both only for the same point twice
         return above - below
-    return poly.compare_top_roots(*(matching_counts(x.hypergraph).z_poly() for x in (a, b)))
+    return poly.compare_top_roots(a.z_poly, b.z_poly)
 
 
 def _matches_bound(winner: EnumerationRecord, G: list[int], alpha_bracket: tuple) -> bool:
@@ -104,7 +103,7 @@ def _matches_bound(winner: EnumerationRecord, G: list[int], alpha_bracket: tuple
     for i, c in enumerate(G):  # c (z - 1)^i z^(deg G - i)
         B = poly.add(B, poly.mul_xpow([c * x for x in power], len(G) - 1 - i))
         power = poly.mul(power, [-1, 1])
-    g = poly.poly_gcd(matching_counts(winner.hypergraph).z_poly(), B)
+    g = poly.poly_gcd(winner.z_poly, B)
     lo = max(winner.certificate[0], 1 / (1 - alpha_bracket[0]))
     hi = min(winner.certificate[1], 1 / (1 - alpha_bracket[1]))
     if lo == hi:

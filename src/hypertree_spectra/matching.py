@@ -24,6 +24,7 @@ from typing import Callable
 from . import polynomials as poly
 from .hypergraph import (
     Hypergraph,
+    ValidationReport,
     _forest_scan,
     _incidence_walk,
     delete_edge,
@@ -165,15 +166,16 @@ def _counts(H: Hypergraph) -> tuple[int, ...]:
     return hit
 
 
-def _require_uniform_linear(H: Hypergraph) -> None:
-    report = validate(H)
+def _require_uniform_linear(report: ValidationReport) -> ValidationReport:
+    """A `validate` report that finds H uniform and linear, else ValueError."""
     if not (report.uniform and report.linear):
         raise ValueError(f"invalid hypergraph: {'; '.join(report.violations)}")
+    return report
 
 
 def matching_counts(H: Hypergraph) -> MatchingProfile:
     """Exact k-matching counts for every k up to the matching number."""
-    _require_uniform_linear(H)
+    _require_uniform_linear(validate(H))
     return MatchingProfile(_counts(H))
 
 

@@ -42,14 +42,6 @@ def degree(p: Sequence) -> int:
     return len(trim(p)) - 1
 
 
-def evaluate(p: Sequence, x):
-    """Horner evaluation; exact when x is an int or Fraction."""
-    acc = 0
-    for c in reversed(list(p)):
-        acc = acc * x + c
-    return acc
-
-
 def add(p: Sequence, q: Sequence) -> Dense:
     out = [0] * max(len(p), len(q))
     for i, c in enumerate(p):
@@ -221,11 +213,6 @@ def _dyadic_points(a, b):
         for num in range(1, denom, 2):
             yield a + (b - a) * Fraction(num, denom)
         denom *= 2
-
-
-def pick_nonroot(polys: list[Sequence], a: Fraction, b: Fraction) -> Fraction:
-    """The first of `_dyadic_points(a, b)` where none of the polynomials vanish."""
-    return next(x for x in _dyadic_points(a, b) if all(sign_at(p, x) != 0 for p in polys))
 
 
 def isolate_real_roots(p: Sequence, lo=None, hi=None, evaluate=None) -> list[tuple]:

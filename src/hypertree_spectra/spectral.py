@@ -12,17 +12,19 @@ Route one is shifted nonnegative-tensor power iteration on B = A + I
 (diagonal shift sigma = 1 forces convergence on bipartite-flavored
 structures), with the Collatz-Wielandt bracket
 min_i (Bx)_i / x_i^(r-1) <= rho(B) <= max_i (...) driving the stopping
-rule.  Each connected component gets one edge-index array and one set of
-product buffers, built before its first step; a step fills the buffers
-in place and scatters them onto the vertices with one `np.bincount`.
+rule; the bracket it stops on is its certificate.  Each connected
+component gets one edge-index array and one set of product buffers,
+built before its first step; a step fills the buffers in place and
+scatters them onto the vertices with one `np.bincount`.
 Route two, for hyperforests, reads rho off the matching polynomial:
 substituting z = x^r turns phi into x^(n-nu*r) p(z), and rho is the r-th
 root of the largest real root of p.  That root is read by
 the top-root kernel in `polynomials` that also serves the closed-form
 bounds: exact isolation on an integer Sturm chain, then sign bisection
 on the square-free part in integer arithmetic until both ends round to
-one double, the double nearest the root.  `SpectralResult.iterations`
-counts the power steps of route one and the halvings of route two.
+one double, the double nearest the root; its final rational bracket of
+rho^r is the certificate.  `SpectralResult.iterations` counts the power
+steps of route one and the halvings of route two.
 """
 
 from __future__ import annotations
@@ -33,12 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import polynomials as poly
-from .hypergraph import (
-    Hypergraph,
-    connected_components,
-    is_acyclic,
-    restrict,
-)
+from .hypergraph import Hypergraph, connected_components, restrict, validate
 from .matching import MatchingProfile, _counts, _require_uniform_linear
 
 DEFAULT_TOL = 1e-10
@@ -58,8 +55,9 @@ class PowerIterationError(RuntimeError):
 class SpectralResult:
     """`iterations`: power steps (power route) or bisection halvings of
     rho^r's isolating interval (polyroot route, 0 for a rational rho^r
-    met by isolation).  `certificate`: the polyroot route's final rational
-    bracket of rho^r (`polynomials._nearest_top_root`), if H has an edge."""
+    met by isolation).  `certificate`: for polyroot, the final rational
+    bracket of rho^r (`polynomials._nearest_top_root`), if H has an edge;
+    for power, the final float Collatz-Wielandt bracket (lo, hi) of rho."""
 
     rho: float
     method: str
@@ -117,16 +115,12 @@ def residual(H: Hypergraph, lam: float, x) -> float:
     return float(np.max(np.abs(_adjacency(H)(x) - lam * x ** (H.r - 1))))
 
 
-def _power_connected(
-    H: Hypergraph,
-    tol: float,
-    max_iter: int,
-    collect_brackets: Optional[list] = None,
-) -> SpectralResult:
+def _power_connected(H: Hypergraph, tol: float, max_iter: int) -> tuple:
+    """(rho, x, iterations, final bracket of rho) for connected H."""
     n, r = H.n, H.r
     x = np.full(n, n ** (-1.0 / r))
     if H.m == 0:
-        return SpectralResult(0.0, "power", eigenvector=x, residual=0.0, iterations=0)
+        return 0.0, x, 0, (0.0, 0.0)
     adjacency = _adjacency(H)
     shift = 1.0
     for it in range(1, max_iter + 1):
@@ -135,17 +129,8 @@ def _power_connected(
         ratios = y / x_r1
         lo = float(ratios.min())
         hi = float(ratios.max())
-        if collect_brackets is not None:
-            collect_brackets.append((lo - shift, hi - shift))
         if hi - lo <= tol:
-            rho = (lo + hi) / 2 - shift
-            return SpectralResult(
-                rho,
-                "power",
-                eigenvector=x,
-                residual=residual(H, rho, x),
-                iterations=it,
-            )
+            return (lo + hi) / 2 - shift, x, it, (lo - shift, hi - shift)
         x = y ** (1.0 / (r - 1))
         x = x / ((x**r).sum()) ** (1.0 / r)
     raise PowerIterationError(
@@ -159,41 +144,30 @@ def spectral_radius_power(
     H: Hypergraph,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    collect_brackets: Optional[list] = None,
 ) -> SpectralResult:
-    """Shifted power iteration; connectivity gives weak irreducibility.
+    """Shifted power iteration on each connected component (connectivity
+    gives weak irreducibility).
 
-    Disconnected input is handled component by component, returning the
-    maximum rho with the winning component's eigenvector embedded (zeros
-    elsewhere keep the global residual exact).
+    rho is the largest component rho, that component's eigenvector is
+    embedded (zeros elsewhere keep the global residual exact), and
+    `certificate` is (max lo, max hi) over the components' final
+    brackets, so it holds rho.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    _require_uniform_linear(H)
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    _require_uniform_linear(validate(H))
     if H.n == 0:
         raise ValueError("empty hypergraph has no spectrum")
     comps = connected_components(H)
-    if len(comps) == 1:
-        return _power_connected(H, tol, max_iter, collect_brackets)
-    best: Optional[SpectralResult] = None
-    best_comp: Optional[list[int]] = None
-    iterations = 0
-    for comp in comps:
-        sub = restrict(H, comp).hypergraph
-        res = _power_connected(sub, tol, max_iter, collect_brackets)
-        iterations += res.iterations
-        if best is None or res.rho > best.rho:
-            best, best_comp = res, comp
-    x = np.zeros(H.n)
-    x[np.array(best_comp, dtype=int)] = best.eigenvector
-    rho = best.rho
-    return SpectralResult(
-        rho,
-        "power",
-        eigenvector=x,
-        residual=residual(H, rho, x),
-        iterations=iterations,
-    )
+    parts = [H] if len(comps) == 1 else [restrict(H, comp).hypergraph for comp in comps]
+    rhos, xs, steps, brackets = zip(*(_power_connected(part, tol, max_iter) for part in parts))
+    best = rhos.index(max(rhos))  # the first of equals
+    rho, x = rhos[best], np.zeros(H.n)
+    x[comps[best]] = xs[best]
+    certificate = tuple(map(max, zip(*brackets)))
+    return SpectralResult(rho, "power", x, residual(H, rho, x), sum(steps), certificate)
 
 
 def spectral_radius_polyroot(H: Hypergraph) -> SpectralResult:
@@ -204,17 +178,19 @@ def spectral_radius_polyroot(H: Hypergraph) -> SpectralResult:
     `certificate` the rational bracket it ended on.  The eigenvector and
     residual fields are left empty.
     """
-    _require_uniform_linear(H)
-    if not is_acyclic(H):
+    if not _require_uniform_linear(validate(H)).acyclic:
         raise ValueError("polynomial-root method requires a hyperforest")
     if H.n == 0:
         raise ValueError("empty hypergraph has no spectrum")
-    # validated above: skip matching_counts' second check
-    profile = MatchingProfile(_counts(H))
+    return _polyroot(MatchingProfile(_counts(H)), H.r)
+
+
+def _polyroot(profile: MatchingProfile, r: int) -> SpectralResult:
+    """`spectral_radius_polyroot` on the counts of a known hyperforest."""
     if profile.nu == 0:
         return SpectralResult(0.0, "polyroot")
     top = poly._nearest_top_root(profile.z_poly())
     if top is None:
         raise RuntimeError("matching polynomial with no real root in z")
     z, halvings, bracket = top
-    return SpectralResult(z ** (1.0 / H.r), "polyroot", iterations=halvings, certificate=bracket)
+    return SpectralResult(z ** (1.0 / r), "polyroot", iterations=halvings, certificate=bracket)

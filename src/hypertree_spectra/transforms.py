@@ -26,13 +26,8 @@ from typing import Iterable, Sequence, Union
 
 from . import polynomials as poly
 from .constructions import CompositionVector
-from .hypergraph import (
-    Hypergraph,
-    is_acyclic,
-    is_pendent_edge,
-    validate,
-)
-from .matching import matching_counts
+from .hypergraph import Hypergraph, is_pendent_edge, validate
+from .matching import MatchingProfile, _counts, _require_uniform_linear
 
 Vector = Union[CompositionVector, Sequence[int]]
 
@@ -193,7 +188,8 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
         return evaluate(p, a)[1] - evaluate(p, b)[1]
 
     def nonroot(polys: tuple, a: Fraction, b: Fraction) -> Fraction:
-        """`poly.pick_nonroot` through this call's sign tests."""
+        """The first of `poly._dyadic_points(a, b)` where none of `polys`
+        vanishes, by this call's sign tests."""
         return next(x for x in poly._dyadic_points(a, b) if all(sign(p, x) for p in polys))
 
     marker = _top_root_marker(p1, functools.partial(evaluate, p1))
@@ -273,11 +269,12 @@ def compare_order(T1: Hypergraph, T2: Hypergraph) -> OrderRelation:
         raise ValueError(f"edge sizes differ: {T1.r} vs {T2.r}")
     if T1.n != T2.n:
         raise ValueError(f"orders differ: {T1.n} vs {T2.n}; the ordering needs equal order")
-    for T in (T1, T2):
-        if not is_acyclic(T):
-            raise ValueError("both arguments must be hyperforests")
-    prof1 = matching_counts(T1)
-    prof2 = matching_counts(T2)
+    reports = [validate(T) for T in (T1, T2)]
+    if not all(report.acyclic for report in reports):
+        raise ValueError("both arguments must be hyperforests")
+    for report in reports:
+        _require_uniform_linear(report)
+    prof1, prof2 = MatchingProfile(_counts(T1)), MatchingProfile(_counts(T2))
     if prof1 == prof2:
         return OrderRelation(EQUAL_POLY, {})
     p1, p2 = prof1.z_poly(), prof2.z_poly()

@@ -74,6 +74,13 @@ def test_rho_single_methods(capsys, tree_file):
     assert "power" not in json.loads(out)
 
 
+def test_rho_nan_tol_exit(capsys, tree_file):
+    """A NaN tolerance is a usage error, not a run of max_iter steps."""
+    assert main(["rho", tree_file, "--method", "power", "--tol", "nan"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "tol" in err[0]
+
+
 def test_extremal_emit(capsys, tmp_path):
     target = tmp_path / "a.json"
     code, _ = run(capsys, "extremal", "3", "2", "3", "--emit", str(target))

@@ -217,6 +217,13 @@ def test_perfect_matching_examples():
         perfect_matching_bound(4, 2)  # n = 5 not divisible by 2
 
 
+def test_perfect_matching_bound_rejects_no_edges():
+    """m < 1 is infeasible even where r divides n = m(r-1)+1 (n = 0, -3)."""
+    for m, r in ((0, 2), (-1, 2), (-2, 3), (-5, 2)):
+        with pytest.raises(InfeasibleParameters):
+            perfect_matching_bound(m, r)
+
+
 def test_perfect_agrees_with_general_bound():
     for r in (2, 3, 4):
         for m in range(1, 9):

@@ -58,6 +58,11 @@ POLYROOT_SHA256 = "5269514535c30d8c19fae533cd11e4c856e9ea7e5ddaab9a11b2b48236407
 # seeded set of random hypertree and doubled-forest pairs
 ORDER_SHA256 = "970b51bd46b3e9cabb85ca029db8b37f255f12b8ff881f3cdd75c8aac131efdd"
 
+# sha256 of the stdout of `htspec enumerate 7 2` (23 lines) and
+# `htspec enumerate 5 3` (8 lines)
+ENUMERATE_72_SHA256 = "ee6210e78ab58fda726df242b7bcbf6d34f7213dfce727b247dc48e56e78f4e4"
+ENUMERATE_53_SHA256 = "695665d6022c8b700fe9d3c4f1d0103ee1dcce6bb32b4bcb03de31187caa0165"
+
 SUITE_CSV = (
     "m,k,r,q,s,l,classes,winner_code,winner_rho,bound_rho,unique,matches_bound\n"
     "5,3,2,2,0,0,2,r2:v(e(v())e(v(e(v())))e(v(e(v())))),1.931851652578,1.931851652578,True,True\n"
@@ -117,6 +122,12 @@ def test_rho_poly_stdout(capsys, tmp_path):
     save(Hypergraph(2, 4, ((0, 1), (1, 2), (2, 3))), str(path))
     assert main(["rho", str(path), "--method", "poly"]) == 0
     assert capsys.readouterr().out == RHO_P4_POLY
+
+
+def test_enumerate_stdout(capsys):
+    for argv, digest in ((["7", "2"], ENUMERATE_72_SHA256), (["5", "3"], ENUMERATE_53_SHA256)):
+        assert main(["enumerate", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_bound_stdout(capsys):

@@ -24,6 +24,7 @@ from hypertree_spectra import polynomials as poly
 from hypertree_spectra.constructions import _cleared_bound_poly
 
 from conftest import path_graph
+from reference_poly import evaluate
 
 
 def _sign(x) -> int:
@@ -38,7 +39,7 @@ def test_sign_at_matches_fraction_horner():
         if rng.random() < 0.3:
             # plant x as a root, so zero signs are covered too
             p = poly.mul(p, [-x.numerator, x.denominator])
-        assert poly.sign_at(p, x) == _sign(poly.evaluate(p, x))
+        assert poly.sign_at(p, x) == _sign(evaluate(p, x))
     assert poly.sign_at([-4, 0, 1], 2) == 0
     assert poly.sign_at([-4, 0, 1], Fraction(-5, 2)) == 1
     assert poly.sign_at([], Fraction(1, 3)) == 0
@@ -49,7 +50,7 @@ def _sturm_bisection(p, a, b, width):
     chain = poly.sturm_chain(p)
     while b - a > width:
         mid = (a + b) / 2
-        if poly.evaluate(p, mid) == 0:
+        if evaluate(p, mid) == 0:
             return ("point", mid)
         if poly.count_real_roots(chain, a, mid) == 1:
             b = mid
@@ -118,7 +119,7 @@ def test_cleared_bound_poly_is_g_times_positive_factor():
                 for _ in range(5):
                     a = Fraction(rng.randint(1, 999), 1000)
                     g = a ** (r - 1) * (1 / (1 - a) - a ** (-s) - l) - q
-                    assert poly.evaluate(G, a) == a**s * (1 - a) * g
+                    assert evaluate(G, a) == a**s * (1 - a) * g
 
 
 def _assert_nearest_double(p, x, hi=None):

@@ -65,16 +65,26 @@ def test_power_eigenvector_normalized():
 
 
 def test_power_bracket_monotone():
+    """The bracket after each step, read off the failure at max_iter = 1,
+    2, ..., then the certificate the route closes on."""
+    H = path_graph(6)
+    res = spectral_radius_power(H)
     brackets = []
-    spectral_radius_power(path_graph(6), collect_brackets=brackets)
+    for max_iter in range(1, res.iterations):
+        with pytest.raises(PowerIterationError) as info:
+            spectral_radius_power(H, max_iter=max_iter)
+        brackets.append(info.value.bracket)
+    brackets.append(res.certificate)
+    assert len(brackets) == res.iterations == 37
     for (lo1, hi1), (lo2, hi2) in zip(brackets, brackets[1:]):
         assert lo2 >= lo1 - 1e-12
         assert hi2 <= hi1 + 1e-12
 
 
 def test_power_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        spectral_radius_power(single_edge(3), tol=0)
+    for kwargs in ({"tol": 0}, {"tol": -1e-10}, {"tol": float("nan")}, {"max_iter": 0}, {"max_iter": -3}):
+        with pytest.raises(ValueError):
+            spectral_radius_power(single_edge(3), **kwargs)
 
 
 def test_power_disconnected_takes_max():
@@ -215,13 +225,16 @@ def _reference_connected(H, brackets, tol=1e-10, max_iter=10**6):
 
 
 def _reference_power(H, brackets):
-    """(rho, eigenvector, residual, iterations), component by component."""
+    """(rho, eigenvector, residual, iterations), component by component;
+    `brackets` gets one list of brackets per component."""
     comps = connected_components(H)
     if len(comps) == 1:
-        return _reference_connected(H, brackets)
+        brackets.append([])
+        return _reference_connected(H, brackets[-1])
     best, best_comp, iterations = None, None, 0
     for comp in comps:
-        res = _reference_connected(restrict(H, comp).hypergraph, brackets)
+        brackets.append([])
+        res = _reference_connected(restrict(H, comp).hypergraph, brackets[-1])
         iterations += res[3]
         if best is None or res[0] > best[0]:
             best, best_comp = res, comp
@@ -231,21 +244,24 @@ def _reference_power(H, brackets):
 
 
 def test_power_route_bytes_match_reference():
-    """rho, iterations, eigenvector, residual and every bracket are the
-    bytes of the route as first written."""
+    """rho, iterations, eigenvector and residual are the bytes of the route
+    as first written, and the certificate is (max lo, max hi) over its
+    components' final brackets; an edgeless component's bracket is (0, 0)."""
     rng = random.Random(2024)
     cases = [random_hypertree(m, r, rng) for r in range(2, 7) for m in (1, 3, 17, 60)]
     cases.append(random_hyperforest([5, 1, 8], 3, rng))
     cases.append(disjoint_union(random_hypertree(4, 2, rng), Hypergraph(2, 2, ())))
     cases.append(Hypergraph(4, 6, ()))
     for H in cases:
-        got_brackets, want_brackets = [], []
-        res = spectral_radius_power(H, collect_brackets=got_brackets)
+        want_brackets = []
+        res = spectral_radius_power(H)
         rho, x, res_want, iterations = _reference_power(H, want_brackets)
         assert (repr(res.rho), res.iterations) == (repr(rho), iterations), H.edges
         assert res.eigenvector.tobytes() == x.tobytes(), H.edges
         assert repr(res.residual) == repr(res_want), H.edges
-        assert got_brackets == want_brackets, H.edges
+        finals = [b[-1] for b in want_brackets if b]
+        certificate = tuple(map(max, zip(*finals))) if finals else (0.0, 0.0)
+        assert repr(res.certificate) == repr(certificate), H.edges
 
 
 def test_apply_adjacency_matches_edge_loop():
@@ -270,10 +286,12 @@ def test_power_failure_reports_last_bracket():
     """A bracket that has not closed after max_iter steps raises, carrying
     the step count and a bracket that still holds rho."""
     brackets = []
+    with pytest.raises(AssertionError):
+        _reference_connected(path_graph(40), brackets, max_iter=5)
     with pytest.raises(PowerIterationError) as info:
-        spectral_radius_power(path_graph(40), max_iter=5, collect_brackets=brackets)
+        spectral_radius_power(path_graph(40), max_iter=5)
     assert info.value.iterations == 5
     assert len(brackets) == 5
-    assert info.value.bracket == brackets[-1]
+    assert info.value.bracket == brackets[4]
     lo, hi = info.value.bracket
     assert lo <= spectral_radius_polyroot(path_graph(40)).rho <= hi
