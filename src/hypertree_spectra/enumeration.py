@@ -4,8 +4,12 @@ Every hypertree with at least two edges has a pendent edge whose removal
 (together with its core vertices) leaves a smaller hypertree: in the
 vertex-edge incidence tree, a deepest edge-node has only leaf children
 plus its parent link.  The generator therefore grows each class from the
-single edge by attaching one pendent edge at every vertex of every
-smaller class and deduplicating by canonical code, which is complete.
+single edge by attaching one pendent edge per automorphism orbit of the
+vertices of every smaller class and deduplicating by canonical code,
+which is complete: vertices in one orbit give isomorphic children.  Each
+orbit is tried at its lowest vertex, and the first vertex of a parent
+that yields a new code is always the lowest of its orbit, so the kept
+representatives are those of growth at every vertex.
 
 Two independent checks back this up: a generate-all-and-filter oracle
 over labeled edge subsets (small sizes only), and the exact labeled
@@ -26,6 +30,7 @@ from typing import Iterator, Sequence
 from .hypergraph import (
     CanonicalCode,
     Hypergraph,
+    _vertex_orbits,
     automorphism_count,
     canonical_code,
     single_edge,
@@ -60,7 +65,8 @@ def enumerate_hypertrees(m: int, r: int) -> tuple[Hypergraph, ...]:
 
 @lru_cache(maxsize=None)
 def _classes(m: int, r: int) -> dict[CanonicalCode, Hypergraph]:
-    """The classes of `enumerate_hypertrees` keyed by canonical code, in code order."""
+    """The classes of `enumerate_hypertrees` keyed by canonical code, in code
+    order, grown by one pendent edge per automorphism orbit of each smaller class."""
     if r < 2:
         raise ValueError("edge size must be at least 2")
     if m < 1:
@@ -71,7 +77,11 @@ def _classes(m: int, r: int) -> dict[CanonicalCode, Hypergraph]:
         return {canonical_code(single_edge(r)): single_edge(r)}
     seen: dict[CanonicalCode, Hypergraph] = {}
     for smaller in enumerate_hypertrees(m - 1, r):
-        for v in range(smaller.n):
+        tried = set()
+        for v, orbit in enumerate(_vertex_orbits(smaller)):
+            if orbit in tried:
+                continue
+            tried.add(orbit)
             grown = attach_pendent(smaller, v)
             code = canonical_code(grown)
             if code not in seen:
@@ -82,6 +92,8 @@ def _classes(m: int, r: int) -> dict[CanonicalCode, Hypergraph]:
 def random_hypertree(m: int, r: int, rng: random.Random) -> Hypergraph:
     """Random hypertree grown by pendent attachment (any class can occur,
     but the sampling is not uniform over classes)."""
+    if m < 1:
+        raise ValueError("need at least one edge")
     H = single_edge(r)
     for _ in range(m - 1):
         H = attach_pendent(H, rng.randrange(H.n))

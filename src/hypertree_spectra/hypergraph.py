@@ -11,11 +11,12 @@ Acyclicity is decided on the bipartite vertex-edge incidence graph: a
 linear hypergraph is acyclic exactly when that graph is a forest.  On
 hyperforests one iterative walk of the incidence forest, rooting each
 incidence tree at its center and visiting children before parents,
-drives both the AHU pass behind canonical codes, isomorphism tests and
-automorphism counts, and the matching-count DP in `matching`.  The
-center is unique: every edge holds at least two vertices, so every leaf
-of an incidence tree is a vertex node, any two leaves lie at even
-distance in the bipartite incidence graph, and the diameter is even.
+drives both the AHU pass behind canonical codes, isomorphism tests,
+automorphism counts and vertex orbits, and the matching-count DP in
+`matching`.  The center is unique: every edge holds at least two
+vertices, so every leaf of an incidence tree is a vertex node, any two
+leaves lie at even distance in the bipartite incidence graph, and the
+diameter is even.
 All operations are pure functions over immutable values.
 """
 
@@ -414,17 +415,37 @@ def _incidence_walk(H: Hypergraph) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def _forest_code(H: Hypergraph) -> tuple[str, int]:
+def _forest_code(H: Hypergraph) -> tuple[str, int, list[int], list[int], list[str]]:
     """AHU code of the incidence forest and the order of its automorphism
-    group, encoded children before parents."""
+    group, encoded children before parents, then the walk's order and
+    parents and each node's subtree code."""
     order, parent = _incidence_walk(H)
+    codes = [""] * len(parent)
     # encoded subtrees awaiting their parent; tree roots wait under -1
     below: dict[int, list[tuple[str, int]]] = {}
     for x in reversed(order):
         code, aut = _merge(below.pop(x, []))
-        tag = "v(" if x < H.n else "e("
-        below.setdefault(parent[x], []).append((tag + code + ")", aut))
-    return _merge(below.pop(-1, []))
+        code = codes[x] = ("v(" if x < H.n else "e(") + code + ")"
+        below.setdefault(parent[x], []).append((code, aut))
+    return (*_merge(below.pop(-1, [])), order, parent, codes)
+
+
+def _vertex_orbits(H: Hypergraph) -> list[int]:
+    """Orbit id of each vertex of a hyperforest under its automorphisms.
+
+    Every automorphism maps the center of each incidence tree to the
+    center of its image, so two nodes share an orbit iff the chains of
+    subtree codes on their paths from the root agree: a node's key is
+    (its parent's key, its own code), and roots key on their code alone,
+    so components with equal codes interchange.
+    """
+    _, _, order, parent, codes = _forest_code(H)
+    key = [-1] * len(parent)
+    ids: dict[tuple[int, str], int] = {}
+    for x in order:
+        p = parent[x]
+        key[x] = ids.setdefault((key[p] if p >= 0 else -1, codes[x]), len(ids))
+    return key[: H.n]
 
 
 def canonical_code(H: Hypergraph) -> CanonicalCode:

@@ -146,7 +146,7 @@ def test_build_A_examples():
 
 
 def test_build_A_is_hypertree_with_right_nu():
-    for r in (2, 3, 4):
+    for r in range(2, 7):
         for m in range(1, 9):
             for k in range(1, m + 1):
                 if not extremal_params(m, k, r).feasible:

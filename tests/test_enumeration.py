@@ -13,12 +13,13 @@ from hypertree_spectra import (
     labeled_hypertree_count,
     max_edges_guard,
     naive_filter_class_count,
+    random_hyperforest,
     random_hypertree,
     single_edge,
     tree_class_count_prufer,
     validate,
 )
-from hypertree_spectra.enumeration import NAIVE_FILTER_CELLS
+from hypertree_spectra.enumeration import NAIVE_FILTER_CELLS, _classes
 
 TREE_COUNTS = [1, 1, 2, 3, 6, 11, 23]  # unlabeled trees with m = 1..7 edges
 
@@ -80,6 +81,43 @@ def test_random_hypertree_is_hypertree(rng):
     for _ in range(20):
         H = random_hypertree(rng.randrange(1, 7), rng.choice([2, 3, 4]), rng)
         assert validate(H).is_hypertree
+
+
+def test_random_growth_needs_an_edge(rng):
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="need at least one edge"):
+            random_hypertree(m, 3, rng)
+    with pytest.raises(ValueError, match="need at least one edge"):
+        random_hyperforest([0, 2], 3, rng)
+    assert random_hyperforest([1, 2], 3, rng).m == 3
+
+
+def _plain_classes(m, r, memo):
+    """Reference grower: a pendent edge at every vertex of every smaller
+    class, the first candidate of each code kept, codes sorted."""
+    if (m, r) not in memo:
+        if m == 1:
+            seen = {canonical_code(single_edge(r)): single_edge(r)}
+        else:
+            seen = {}
+            for smaller in _plain_classes(m - 1, r, memo).values():
+                for v in range(smaller.n):
+                    grown = attach_pendent(smaller, v)
+                    seen.setdefault(canonical_code(grown), grown)
+        memo[m, r] = {code: seen[code] for code in sorted(seen)}
+    return memo[m, r]
+
+
+def test_orbit_pruned_grower_matches_plain_grower():
+    """Same codes, same code order, same representatives' edge tuples as
+    the grower that tries every vertex, on every cell up to the guards."""
+    memo = {}
+    for r in range(2, 8):
+        for m in range(1, max_edges_guard(r) + 1):
+            want = _plain_classes(m, r, memo)
+            assert list(_classes(m, r)) == list(want), (m, r)
+            got = [H.edges for H in enumerate_hypertrees(m, r)]
+            assert got == [H.edges for H in want.values()], (m, r)
 
 
 def test_enumerate_T_mkr_examples():

@@ -31,6 +31,7 @@ from hypertree_spectra import (
     validate,
     vertex_kind,
 )
+from hypertree_spectra.hypergraph import _vertex_orbits
 
 from conftest import path_graph
 
@@ -259,6 +260,61 @@ def test_automorphism_count():
     assert automorphism_count(Hypergraph(2, 6, [(0, 1), (1, 2), (3, 4), (4, 5)])) == 8
     # two 3-edges (3! each, 2! to swap them) and two isolated vertices (2!)
     assert automorphism_count(Hypergraph(3, 8, [(0, 1, 2), (4, 5, 6)])) == 144
+
+
+def _brute_force_orbits(H):
+    """Vertex orbits under every permutation mapping the edge set onto itself.
+
+    Only permutations that keep each vertex's degree can do so, so the
+    search runs over those alone.
+    """
+    edges = set(H.edges)
+    by_degree = {}
+    for v in range(H.n):
+        by_degree.setdefault(degree(H, v), []).append(v)
+    blocks = list(by_degree.values())
+    orbit = {v: {v} for v in range(H.n)}
+    automorphisms = 0
+    for images in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        perm = {}
+        for block, image in zip(blocks, images):
+            perm.update(zip(block, image))
+        if {tuple(sorted(perm[v] for v in e)) for e in H.edges} == edges:
+            automorphisms += 1
+            for v in range(H.n):
+                orbit[v].add(perm[v])
+    return {frozenset(o) for o in orbit.values()}, automorphisms
+
+
+def test_vertex_orbits_match_brute_force():
+    """Orbits read off the AHU pass equal the orbits of the automorphism
+    group found by search, on every class with n <= 8 and on hyperforests
+    with repeated components and isolated vertices."""
+    cases = [
+        H
+        for r in range(2, 9)
+        for m in range(1, 8 // (r - 1) + 1)
+        if m * (r - 1) + 1 <= 8
+        for H in enumerate_hypertrees(m, r)
+    ]
+    P3 = Hypergraph(2, 3, [(0, 1), (1, 2)])
+    star = hyperstar(3, 2)
+    cases += [
+        disjoint_union(disjoint_union(P3, P3), Hypergraph(2, 1, ())),
+        disjoint_union(disjoint_union(star, Hypergraph(2, 2, ())), star),
+        disjoint_union(disjoint_union(P3, star), P3),
+        Hypergraph(3, 8, [(0, 1, 2), (4, 5, 6)]),
+        Hypergraph(3, 7, [(0, 1, 2), (2, 3, 4)]),
+        Hypergraph(4, 3, ()),
+    ]
+    assert len(cases) > 40
+    for H in cases:
+        got = {}
+        for v, orbit in enumerate(_vertex_orbits(H)):
+            got.setdefault(orbit, set()).add(v)
+        want, automorphisms = _brute_force_orbits(H)
+        assert {frozenset(o) for o in got.values()} == want, H.edges
+        assert automorphisms == automorphism_count(H), H.edges
 
 
 def test_canonical_code_one_vertex_edge():
