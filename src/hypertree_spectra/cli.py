@@ -106,7 +106,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.matching is None:
-        for code, H in _classes(args.m, args.r).items():
+        for code, (H, _) in _classes(args.m, args.r).items():
             print(
                 json.dumps(
                     {

@@ -236,6 +236,8 @@ def perfect_matching_bound(m: int, r: int) -> BoundResult:
     alpha0 is the maximum root in (0, 1) of r a^r = (m-1)(1-a); the left
     side increases and the right side decreases, so the root is unique.
     """
+    if r < 2:
+        raise ValueError("edge size must be at least 2")
     if m < 1:
         raise InfeasibleParameters(f"m={m}: a hypertree needs at least one edge")
     n = m * (r - 1) + 1

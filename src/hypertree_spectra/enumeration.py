@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 from .hypergraph import (
     CanonicalCode,
     Hypergraph,
-    _vertex_orbits,
+    _forest_code,
     automorphism_count,
     canonical_code,
     single_edge,
@@ -60,13 +60,16 @@ def enumerate_hypertrees(m: int, r: int) -> tuple[Hypergraph, ...]:
 
     Deterministic: output is sorted by canonical code.
     """
-    return tuple(_classes(m, r).values())
+    return tuple(H for H, _ in _classes(m, r).values())
 
 
 @lru_cache(maxsize=None)
-def _classes(m: int, r: int) -> dict[CanonicalCode, Hypergraph]:
+def _classes(m: int, r: int) -> dict[CanonicalCode, tuple[Hypergraph, list[int]]]:
     """The classes of `enumerate_hypertrees` keyed by canonical code, in code
-    order, grown by one pendent edge per automorphism orbit of each smaller class."""
+    order, with their vertex orbit ids, grown by one pendent edge per orbit
+    of each smaller class.  `attach_pendent` on a hypertree gives a
+    hypertree, so one `_forest_code` pass, with no acyclicity scan, codes
+    each candidate and gives a new class the orbits it is grown from."""
     if r < 2:
         raise ValueError("edge size must be at least 2")
     if m < 1:
@@ -74,18 +77,19 @@ def _classes(m: int, r: int) -> dict[CanonicalCode, Hypergraph]:
     if m > max_edges_guard(r):
         raise ValueError(f"m={m} exceeds the enumeration guard for r={r}")
     if m == 1:
-        return {canonical_code(single_edge(r)): single_edge(r)}
-    seen: dict[CanonicalCode, Hypergraph] = {}
-    for smaller in enumerate_hypertrees(m - 1, r):
+        code, _, orbits = _forest_code(single_edge(r))
+        return {code: (single_edge(r), orbits)}
+    seen: dict[CanonicalCode, tuple[Hypergraph, list[int]]] = {}
+    for smaller, orbits in _classes(m - 1, r).values():
         tried = set()
-        for v, orbit in enumerate(_vertex_orbits(smaller)):
+        for v, orbit in enumerate(orbits):
             if orbit in tried:
                 continue
             tried.add(orbit)
             grown = attach_pendent(smaller, v)
-            code = canonical_code(grown)
+            code, _, grown_orbits = _forest_code(grown)
             if code not in seen:
-                seen[code] = grown
+                seen[code] = (grown, grown_orbits)
     return {code: seen[code] for code in sorted(seen)}
 
 
@@ -149,6 +153,10 @@ def labeled_hypertree_count(m: int, r: int) -> int:
     Generalized Cayley count on n = m(r-1)+1 labeled vertices:
     n^(m-1) * (n-1)! / (m! * ((r-1)!)^m).
     """
+    if r < 2:
+        raise ValueError("edge size must be at least 2")
+    if m < 1:
+        raise ValueError("need at least one edge")
     n = m * (r - 1) + 1
     num = n ** (m - 1) * math.factorial(n - 1)
     den = math.factorial(m) * math.factorial(r - 1) ** m

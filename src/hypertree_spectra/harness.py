@@ -154,6 +154,8 @@ def verify_perfect_matching(r: int, k: int) -> VerificationReport:
     bound comes from the perfect-matching specialization: there s = l = 0,
     and r a^r + (m - 1) a - (m - 1) is r times `_cleared_bound_poly`.
     """
+    if r < 2:
+        raise ValueError("edge size must be at least 2")
     if (k * r - 1) % (r - 1):
         raise ValueError(f"(kr-1)/(r-1) is not an integer for r={r}, k={k}")
     m = (k * r - 1) // (r - 1)
@@ -187,6 +189,8 @@ class SuiteConfig:
             raise ValueError("suite field 'triples' must be a list of [m, k, r] lists")
         if not (isinstance(ranges, list) and all(isinstance(d, dict) for d in ranges)):
             raise ValueError("suite field 'ranges' must be a list of objects with 'r' and 'm_max'")
+        if unknown := sorted({key for d in ranges for key in d} - {"r", "m_max"}):
+            raise ValueError(f"unknown suite field {unknown[0]!r} in 'ranges'")
         ranges = [(d.get("r"), d.get("m_max")) for d in ranges]
         if not all(type(x) is int for t in triples + ranges for x in t):
             raise ValueError("suite fields 'triples' and 'ranges' must hold integers ('r', 'm_max')")

@@ -11,12 +11,13 @@ Acyclicity is decided on the bipartite vertex-edge incidence graph: a
 linear hypergraph is acyclic exactly when that graph is a forest.  On
 hyperforests one iterative walk of the incidence forest, rooting each
 incidence tree at its center and visiting children before parents,
-drives both the AHU pass behind canonical codes, isomorphism tests,
-automorphism counts and vertex orbits, and the matching-count DP in
-`matching`.  The center is unique: every edge holds at least two
-vertices, so every leaf of an incidence tree is a vertex node, any two
-leaves lie at even distance in the bipartite incidence graph, and the
-diameter is even.
+drives both the matching-count DP in `matching` and one AHU pass,
+`_forest_code`, which gives everything read off the forest's shape: the
+canonical code (and with it isomorphism tests), the order of the
+automorphism group, and the vertex orbits.  The center is unique: every
+edge holds at least two vertices, so every leaf of an incidence tree is
+a vertex node, any two leaves lie at even distance in the bipartite
+incidence graph, and the diameter is even.
 All operations are pure functions over immutable values.
 """
 
@@ -142,10 +143,6 @@ def is_acyclic(H: Hypergraph) -> bool:
     return _forest_scan(H)[0] is None
 
 
-def is_connected(H: Hypergraph) -> bool:
-    return _forest_scan(H)[1] <= 1
-
-
 def validate(H: Hypergraph) -> ValidationReport:
     """Check uniformity, linearity, connectivity, and acyclicity.
 
@@ -190,14 +187,6 @@ def degree(H: Hypergraph, v: int) -> int:
     """Number of edges containing v."""
     H.check_vertex(v)
     return sum(1 for e in H.edges if v in e)
-
-
-def vertex_kind(H: Hypergraph, v: int) -> str:
-    """'core' (degree 1), 'intersection' (degree > 1), or 'isolated'."""
-    d = degree(H, v)
-    if d == 0:
-        return "isolated"
-    return "core" if d == 1 else "intersection"
 
 
 def is_pendent_edge(H: Hypergraph, e: Iterable[int]) -> bool:
@@ -265,68 +254,6 @@ def connected_components(H: Hypergraph) -> list[list[int]]:
     for v in range(H.n):
         groups.setdefault(find(v), []).append(v)
     return sorted(groups.values())
-
-
-# ---------------------------------------------------------------------------
-# paths and the Helly property
-# ---------------------------------------------------------------------------
-
-
-def find_path(H: Hypergraph, u: int, v: int) -> Optional[list]:
-    """Alternating vertex-edge path from u to v, or None if disconnected.
-
-    Returned as [u, e1, w1, e2, ..., v] with edges as vertex tuples.  BFS
-    gives a shortest path; on a hypertree the edge sequence is the unique
-    one.
-    """
-    H.check_vertex(u)
-    H.check_vertex(v)
-    if u == v:
-        return [u]
-    incident: dict[int, list[tuple[int, ...]]] = {}
-    for e in H.edges:
-        for w in e:
-            incident.setdefault(w, []).append(e)
-    prev: dict[int, tuple[int, tuple[int, ...]]] = {}
-    frontier = [u]
-    seen = {u}
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for e in incident.get(w, ()):
-                for z in e:
-                    if z not in seen:
-                        seen.add(z)
-                        prev[z] = (w, e)
-                        if z == v:
-                            path: list = [v]
-                            cur = v
-                            while cur != u:
-                                back, via = prev[cur]
-                                path.append(via)
-                                path.append(back)
-                                cur = back
-                            path.reverse()
-                            return path
-                        nxt.append(z)
-        frontier = nxt
-    return None
-
-
-def common_vertex(H: Hypergraph, edges: Iterable[Iterable[int]]) -> Optional[int]:
-    """Lowest-id vertex lying in every given edge, or None.
-
-    On a hypertree every intersecting family has such a vertex (the Helly
-    property of subtree hypergraphs); for |F| >= 2 linearity makes it
-    unique.
-    """
-    family = [H.edge_tuple(e) for e in edges]
-    if not family:
-        raise ValueError("empty edge family")
-    shared = set(family[0])
-    for e in family[1:]:
-        shared.intersection_update(e)
-    return min(shared) if shared else None
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +342,21 @@ def _incidence_walk(H: Hypergraph) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def _forest_code(H: Hypergraph) -> tuple[str, int, list[int], list[int], list[str]]:
-    """AHU code of the incidence forest and the order of its automorphism
-    group, encoded children before parents, then the walk's order and
-    parents and each node's subtree code."""
+def _forest_code(H: Hypergraph) -> tuple[CanonicalCode, int, list[int]]:
+    """Canonical code, automorphism-group order and vertex orbit ids of a
+    hyperforest, all from one AHU pass over its incidence forest.  Acyclic
+    input only.
+
+    Each incidence tree is encoded children before parents from its center;
+    the component codes are sorted and concatenated behind an `r{r}:`
+    prefix.  Within a node, and among the components, each block of k
+    identical subtrees multiplies the group order by k!.  Every
+    automorphism maps the center of each incidence tree to the center of
+    its image, so two nodes share an orbit iff the chains of subtree codes
+    on their paths from the root agree: a node's key is (its parent's key,
+    its own code), and roots key on their code alone, so components with
+    equal codes interchange.
+    """
     order, parent = _incidence_walk(H)
     codes = [""] * len(parent)
     # encoded subtrees awaiting their parent; tree roots wait under -1
@@ -427,39 +365,22 @@ def _forest_code(H: Hypergraph) -> tuple[str, int, list[int], list[int], list[st
         code, aut = _merge(below.pop(x, []))
         code = codes[x] = ("v(" if x < H.n else "e(") + code + ")"
         below.setdefault(parent[x], []).append((code, aut))
-    return (*_merge(below.pop(-1, [])), order, parent, codes)
-
-
-def _vertex_orbits(H: Hypergraph) -> list[int]:
-    """Orbit id of each vertex of a hyperforest under its automorphisms.
-
-    Every automorphism maps the center of each incidence tree to the
-    center of its image, so two nodes share an orbit iff the chains of
-    subtree codes on their paths from the root agree: a node's key is
-    (its parent's key, its own code), and roots key on their code alone,
-    so components with equal codes interchange.
-    """
-    _, _, order, parent, codes = _forest_code(H)
+    code, aut = _merge(below.pop(-1, []))
     key = [-1] * len(parent)
     ids: dict[tuple[int, str], int] = {}
     for x in order:
         p = parent[x]
         key[x] = ids.setdefault((key[p] if p >= 0 else -1, codes[x]), len(ids))
-    return key[: H.n]
+    return f"r{H.r}:{code}".encode("ascii"), aut, key[: H.n]
 
 
 def canonical_code(H: Hypergraph) -> CanonicalCode:
-    """Canonical byte code of a hyperforest.
-
-    Rooted AHU encoding of each incidence tree at its center, which is
-    unique because every leaf of an incidence tree is a vertex node and so
-    the diameter is even; per-component codes are sorted and concatenated.
-    Two hyperforests get equal codes iff they are isomorphic; cyclic input
-    is rejected.
-    """
+    """Canonical byte code of a hyperforest (`_forest_code`): two
+    hyperforests get equal codes iff they are isomorphic.  Cyclic input is
+    rejected."""
     if not is_acyclic(H):
         raise ValueError("canonical code is defined for hyperforests only")
-    return (f"r{H.r}:" + _forest_code(H)[0]).encode("ascii")
+    return _forest_code(H)[0]
 
 
 def is_isomorphic(G: Hypergraph, H: Hypergraph) -> bool:
@@ -470,14 +391,8 @@ def is_isomorphic(G: Hypergraph, H: Hypergraph) -> bool:
 
 
 def automorphism_count(H: Hypergraph) -> int:
-    """Order of the automorphism group of a hyperforest.
-
-    Computed on the incidence forest in the same pass as the canonical
-    code: each component is rooted at its unique center (every leaf is a
-    vertex node, so the diameter is even), which every automorphism fixes.
-    Within a node, and among the components, each block of k identical
-    subtrees multiplies in k!.
-    """
+    """Order of the automorphism group of a hyperforest, from the same
+    pass as its canonical code (`_forest_code`).  Cyclic input is rejected."""
     if not is_acyclic(H):
         raise ValueError("automorphism count implemented for hyperforests only")
     return _forest_code(H)[1]

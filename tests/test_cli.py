@@ -178,6 +178,7 @@ def test_chain(capsys):
         (["suite", "--config"], {"triples": [[3, 2, 3]], "bound_tol": None}, "'bound_tol'"),
         (["suite", "--config"], {"triples": [[3, 2, 3]], "at_least": "no"}, "'at_least'"),
         (["suite", "--config"], {"triples": [[3, 2, 3]], "gap_tol": 1e-9}, "'gap_tol'"),
+        (["suite", "--config"], {"ranges": [{"r": 2, "m_max": 3, "typo": 1}]}, "'typo'"),
     ],
 )
 def test_malformed_file_exit_code(capsys, tmp_path, argv, data, field):

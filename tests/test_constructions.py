@@ -21,6 +21,7 @@ from hypertree_spectra import (
     single_edge,
     spectral_radius_polyroot,
     validate,
+    verify_perfect_matching,
 )
 from sparse_poly import sp_equal, sp_monomial, sp_mul, sp_pow, sp_sub
 
@@ -222,6 +223,17 @@ def test_perfect_matching_bound_rejects_no_edges():
     for m, r in ((0, 2), (-1, 2), (-2, 3), (-5, 2)):
         with pytest.raises(InfeasibleParameters):
             perfect_matching_bound(m, r)
+
+
+def test_perfect_matching_rejects_small_edges():
+    """r < 2 is an error on the perfect-matching path, as in `extremal_params`."""
+    for call, args in (
+        (perfect_matching_bound, (2, 1)),
+        (perfect_matching_bound, (3, 0)),
+        (verify_perfect_matching, (1, 2)),
+    ):
+        with pytest.raises(ValueError, match="edge size must be at least 2"):
+            call(*args)
 
 
 def test_perfect_agrees_with_general_bound():

@@ -19,6 +19,7 @@ from hypertree_spectra import (
     tree_class_count_prufer,
     validate,
 )
+from hypertree_spectra import enumeration, hypergraph
 from hypertree_spectra.enumeration import NAIVE_FILTER_CELLS, _classes
 
 TREE_COUNTS = [1, 1, 2, 3, 6, 11, 23]  # unlabeled trees with m = 1..7 edges
@@ -120,6 +121,34 @@ def test_orbit_pruned_grower_matches_plain_grower():
             assert got == [H.edges for H in want.values()], (m, r)
 
 
+def test_grower_codes_each_candidate_in_one_pass(monkeypatch):
+    """A cold cell walks the incidence forest once per candidate plus once
+    for the single edge, and never runs the union-find acyclicity scan."""
+    calls = {"attach_pendent": 0, "_incidence_walk": 0, "_forest_scan": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(enumeration, "attach_pendent")
+    counted(hypergraph, "_incidence_walk")
+    counted(hypergraph, "_forest_scan")
+    _classes.cache_clear()
+    try:
+        classes = _classes(6, 3)
+    finally:
+        _classes.cache_clear()
+    assert len(classes) == 19
+    assert calls["attach_pendent"] > len(classes)
+    assert calls["_incidence_walk"] == calls["attach_pendent"] + 1
+    assert calls["_forest_scan"] == 0
+
+
 def test_enumerate_T_mkr_examples():
     records = list(enumerate_T_mkr(3, 2, 3))
     assert len(records) == 1
@@ -143,6 +172,18 @@ def test_labeled_count_identity():
     for r, m_max in [(2, 7), (3, 6), (4, 5)]:
         for m in range(1, m_max + 1):
             assert labeled_count_from_classes(m, r) == labeled_hypertree_count(m, r), (m, r)
+
+
+def test_labeled_count_rejects_no_edges():
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="need at least one edge"):
+            labeled_hypertree_count(m, 3)
+
+
+def test_labeled_count_rejects_small_edges():
+    for r in (1, 0):
+        with pytest.raises(ValueError, match="edge size must be at least 2"):
+            labeled_hypertree_count(2, r)
 
 
 def test_naive_filter_equivalence():

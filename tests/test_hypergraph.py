@@ -11,7 +11,6 @@ from hypertree_spectra import (
     automorphism_count,
     build_Ra,
     canonical_code,
-    common_vertex,
     connected_components,
     degree,
     delete_edge,
@@ -19,19 +18,16 @@ from hypertree_spectra import (
     delete_vertex,
     disjoint_union,
     enumerate_hypertrees,
-    find_path,
     from_json,
     hyperstar,
-    is_connected,
     is_isomorphic,
     is_pendent_edge,
     relabel,
     single_edge,
     to_json,
     validate,
-    vertex_kind,
 )
-from hypertree_spectra.hypergraph import _vertex_orbits
+from hypertree_spectra.hypergraph import _forest_code
 
 from conftest import path_graph
 
@@ -108,15 +104,14 @@ def test_validate_flags_nonuniform():
 
 
 def test_degree_and_kinds():
+    """Degree 1 marks a core vertex, degree > 1 an intersection vertex."""
     star = hyperstar(3, 2)
     assert degree(star, 0) == 3
-    assert vertex_kind(star, 0) == "intersection"
     edge = single_edge(3)
     assert degree(edge, 1) == 1
-    assert vertex_kind(edge, 1) == "core"
     # middle edge of the 3-edge path shares vertices 0 and 1 with the others
     assert degree(PATH3_R3, 0) == 2
-    assert vertex_kind(PATH3_R3, 0) == "intersection"
+    assert degree(Hypergraph(3, 4, [(0, 1, 2)]), 3) == 0
     with pytest.raises(ValueError):
         degree(star, 99)
 
@@ -133,7 +128,7 @@ def test_delete_edge_keeps_vertices():
     result = delete_edge(P4, (1, 2))
     assert result.n == 4
     assert result.m == 2
-    assert not is_connected(result)
+    assert not validate(result).connected
     with pytest.raises(ValueError):
         delete_edge(P4, (0, 3))
 
@@ -171,34 +166,12 @@ def test_disjoint_union():
     a = single_edge(3)
     two = disjoint_union(a, a)
     assert two.n == 6 and two.m == 2
-    assert not is_connected(two)
+    assert not validate(two).connected
     empty = Hypergraph(3, 0, ())
     assert disjoint_union(a, empty) == a
     assert disjoint_union(empty, a) == a
     with pytest.raises(ValueError):
         disjoint_union(a, single_edge(4))
-
-
-def test_find_path():
-    # extreme core vertices of the 3-edge path sit in the two pendent edges
-    path = find_path(PATH3_R3, 3, 5)
-    assert path is not None
-    edges_used = [x for x in path if isinstance(x, tuple)]
-    assert len(edges_used) == 3
-    assert path[0] == 3 and path[-1] == 5
-    assert find_path(PATH3_R3, 2, 2) == [2]
-    disconnected = Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])
-    assert find_path(disconnected, 0, 3) is None
-
-
-def test_common_vertex():
-    star = hyperstar(3, 2)
-    assert common_vertex(star, star.edges) == 0
-    assert common_vertex(star, [star.edges[0]]) == 0
-    disconnected = Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])
-    assert common_vertex(disconnected, disconnected.edges) is None
-    with pytest.raises(ValueError):
-        common_vertex(star, [])
 
 
 def test_helly_property_exhaustive():
@@ -213,7 +186,7 @@ def test_helly_property_exhaustive():
                             for a, b in itertools.combinations(family, 2)
                         )
                         if intersecting:
-                            assert common_vertex(H, family) is not None
+                            assert set.intersection(*map(set, family))
 
 
 def test_canonical_code_relabel_invariance(rng):
@@ -310,7 +283,7 @@ def test_vertex_orbits_match_brute_force():
     assert len(cases) > 40
     for H in cases:
         got = {}
-        for v, orbit in enumerate(_vertex_orbits(H)):
+        for v, orbit in enumerate(_forest_code(H)[2]):
             got.setdefault(orbit, set()).add(v)
         want, automorphisms = _brute_force_orbits(H)
         assert {frozenset(o) for o in got.values()} == want, H.edges
@@ -354,7 +327,7 @@ def test_json_round_trip():
 
 def test_hypertree_paths_unique():
     """On a hypertree the edge sequence between two vertices is unique:
-    the BFS path must match exhaustive search exactly."""
+    exhaustive search finds exactly one."""
 
     def all_edge_paths(H, u, v):
         found = []
@@ -376,7 +349,4 @@ def test_hypertree_paths_unique():
         for H in enumerate_hypertrees(m, 3):
             for u in range(H.n):
                 for v in range(u + 1, H.n):
-                    exhaustive = all_edge_paths(H, u, v)
-                    assert len(exhaustive) == 1, (H.edges, u, v)
-                    bfs = find_path(H, u, v)
-                    assert tuple(x for x in bfs if isinstance(x, tuple)) == exhaustive[0]
+                    assert len(all_edge_paths(H, u, v)) == 1, (H.edges, u, v)
