@@ -85,11 +85,16 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    params = extremal_params(args.m, args.k, args.r)
     if args.perfect:
         result = perfect_matching_bound(args.m, args.r)
+        k = (args.m * (args.r - 1) + 1) // args.r  # exact: the call checked r | m(r-1)+1
+        if args.k != k:
+            raise InfeasibleParameters(
+                f"--perfect needs k r = m(r-1)+1: k={k} for m={args.m}, r={args.r}, not k={args.k}"
+            )
     else:
         result = rho_bound(args.m, args.k, args.r)
+    params = extremal_params(args.m, args.k, args.r)
     print(
         json.dumps(
             {

@@ -9,17 +9,23 @@ by homogeneous Horner, Sturm chains have integer coefficients, isolation
 bisects on exact Sturm counts, and refinement bisects on the sign of the
 square-free part at dyadic points (Rouillier & Zimmermann, JCAM 162,
 2004).  Exact division is integer long division by a primitive divisor,
-so no polynomial is ever divided over the rationals.  The one float a
-top root yields is the double nearest it, decided by exact signs, and it
-comes with the rational bracket it was read from; `compare_top_roots`
-orders two top roots exactly where their brackets overlap.
+so no polynomial is ever divided over the rationals.
+
+A top root is isolated by the same bisection descending only into the
+half that holds it (`isolate_top_root`).  The one float it yields is the
+double nearest it, decided by exact signs: a float Newton guess only
+proposes a narrow bracket, which two exact signs confirm before the
+bisection starts from it (float search, exact certificate, as in
+Sagraloff & Mehlhorn, J. Symb. Comput. 73, 2016).  The double comes with
+the rational bracket it was read from; `compare_top_roots` orders two
+top roots exactly where their brackets overlap.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm, nextafter
+from math import gcd, inf, isfinite, lcm, nextafter, ulp
 from typing import Sequence
 
 Dense = list
@@ -228,10 +234,6 @@ def isolate_real_roots(p: Sequence, lo=None, hi=None, evaluate=None) -> list[tup
     p = trim(p)
     if len(p) <= 1:
         return []
-    bound = cauchy_bound(p) + 1 if lo is None or hi is None else None
-    lo = Fraction(lo) if lo is not None else -bound
-    hi = Fraction(hi) if hi is not None else bound
-    evaluate = evaluate or partial(_variations, sturm_chain(p))
     out: list[tuple] = []
 
     # va, vb: sign variations of the chain at a and b, evaluated once per
@@ -242,28 +244,69 @@ def isolate_real_roots(p: Sequence, lo=None, hi=None, evaluate=None) -> list[tup
         if va - vb == 1:
             out.append(("interval", a, b))
             return
-        mid = (a + b) / 2
-        sm, vm = evaluate(mid)
-        if not sm:
-            eps = (b - a) / 4
-            while True:
-                l2, r2 = mid - eps, mid + eps
-                (sl, vl), (sr, vr) = evaluate(l2), evaluate(r2)
-                if sl and sr and vl - vr == 1:
-                    break
-                eps /= 2
-            rec(a, l2, va, vl)
-            out.append(("point", mid))
-            rec(r2, b, vr, vb)
-        else:
-            rec(a, mid, va, vm)
-            rec(mid, b, vm, vb)
+        l, vl, point, r, vr = _split(a, b, evaluate)
+        rec(a, l, va, vl)
+        if point is not None:
+            out.append(("point", point))
+        rec(r, b, vr, vb)
 
+    lo, hi, evaluate, va, vb = _isolation_start(p, lo, hi, evaluate)
+    rec(lo, hi, va, vb)
+    return out
+
+
+def isolate_top_root(p: Sequence, lo=None, hi=None, evaluate=None) -> tuple | None:
+    """`isolate_real_roots(p, lo, hi, evaluate)[-1]`, or None for no root,
+    found by the same bisection descending only into the half that holds
+    the largest root."""
+    p = trim(p)
+    if len(p) <= 1:
+        return None
+    a, b, evaluate, va, vb = _isolation_start(p, lo, hi, evaluate)
+    while va != vb:
+        if va - vb == 1:
+            return ("interval", a, b)
+        l, vl, point, r, vr = _split(a, b, evaluate)
+        if vr != vb:
+            a, va = r, vr
+        elif point is not None:
+            return ("point", point)
+        else:
+            b, vb = l, vl
+    return None
+
+
+def _isolation_start(p: Dense, lo, hi, evaluate) -> tuple:
+    """(lo, hi, evaluate, va, vb) to isolate the roots of p (degree >= 1)
+    in (lo, hi), by default +-(Cauchy bound + 1): the evaluation defaults
+    to p's own Sturm chain, va and vb are its sign variations at the ends,
+    and the ends must not be roots."""
+    bound = cauchy_bound(p) + 1 if lo is None or hi is None else None
+    lo = Fraction(lo) if lo is not None else -bound
+    hi = Fraction(hi) if hi is not None else bound
+    evaluate = evaluate or partial(_variations, sturm_chain(p))
     (sa, va), (sb, vb) = evaluate(lo), evaluate(hi)
     if not (sa and sb):
         raise ValueError("isolation endpoints must not be roots")
-    rec(lo, hi, va, vb)
-    return out
+    return lo, hi, evaluate, va, vb
+
+
+def _split(a: Fraction, b: Fraction, evaluate) -> tuple:
+    """Halve (a, b), which holds two roots or more, at its midpoint:
+    (l, vl, point, r, vr), the halves being (a, l) and (r, b) and vl, vr
+    the sign variations at l and r.  A midpoint that is a root comes back
+    as `point` (else None), widened into an (l, r) holding no other root."""
+    mid = (a + b) / 2
+    sm, vm = evaluate(mid)
+    if sm:
+        return mid, vm, None, mid, vm
+    eps = (b - a) / 4
+    while True:
+        l, r = mid - eps, mid + eps
+        (sl, vl), (sr, vr) = evaluate(l), evaluate(r)
+        if sl and sr and vl - vr == 1:
+            return l, vl, mid, r, vr
+        eps /= 2
 
 
 def _square_free(chain: list[Dense]) -> Dense:
@@ -299,54 +342,118 @@ def refine_isolating(p: Sequence, a: Fraction, b: Fraction, width: Fraction, cha
     return ("interval", Fraction(A, D), Fraction(B, D))
 
 
+# half-widths, in ulps of the float guess, of the brackets tried around it
+_SEED_ULPS = (2**2, 2**8, 2**16, 2**26)
+
+
+def _float_root(q: Dense, a: Fraction, b: Fraction, left: int) -> float | None:
+    """A float near the one root of q in (a, b), where q has the sign
+    `left` at a: safeguarded Newton-bisection on a float copy of q.  None
+    where a coefficient or an end overflows a float, or q or q' at an
+    iterate is not finite.  Only a guess: `_nearest_top_root` checks it
+    by exact signs."""
+    try:
+        coeffs = [float(c) for c in reversed(q)]
+        lo, hi = float(a), float(b)
+    except OverflowError:
+        return None
+    x = lo / 2 + hi / 2
+    for _ in range(100):
+        f = df = 0.0
+        for c in coeffs:
+            df = df * x + f
+            f = f * x + c
+        if not (isfinite(f) and isfinite(df)):
+            return None
+        if f == 0:
+            return x
+        if (f > 0) == (left > 0):
+            lo = x
+        else:
+            hi = x
+        step = x - f / df if df else inf  # a flat step bisects
+        if step == x:
+            return x
+        if not lo < step < hi:
+            step = lo / 2 + hi / 2
+            if not lo < step < hi:
+                return x
+        x = step
+    return x
+
+
 def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int, tuple] | None:
     """The double nearest the largest real root of p in (lo, hi), the
-    number of halvings that took (0 for a root met by isolation), and the
-    final rational bracket, an open interval holding no other root of p or
-    (x, x) for a root x that isolation or a halving lands on; None if no root.
+    number of exact sign tests of the square-free part q after isolation
+    (0 for a root met by isolation), and the final rational bracket, an
+    open interval holding no other root of p or (x, x) for a root x that
+    isolation or a halving lands on; None if no root.
 
-    The root is isolated on p's integer Sturm chain, then bracketed by
-    sign bisection on the square-free part (as in `refine_isolating`)
-    until both ends round to the same double.  Once they round to two
-    adjacent doubles, the sign at the midpoint of those doubles decides
-    which is nearer; a root exactly there is rounded half to even.
+    The root is isolated on p's integer Sturm chain (`isolate_top_root`).
+    A float guess x (`_float_root`) then narrows the isolating interval:
+    the first of x +- w ulp(x), w in `_SEED_ULPS`, that lies inside it and
+    over which q changes sign, by two exact tests, holds the root and
+    replaces it.  Where no width confirms, or the guess fails, the
+    isolating interval stays.  From there, sign bisection on q (as in
+    `refine_isolating`) runs until both ends round to the same double.
+    Once they round to two adjacent doubles, the sign at the midpoint of
+    those doubles decides which is nearer; a root exactly there is
+    rounded half to even.
     """
     chain = sturm_chain(p)
-    markers = isolate_real_roots(p, lo, hi, evaluate=partial(_variations, chain))
-    if not markers:
+    top = isolate_top_root(p, lo, hi, evaluate=partial(_variations, chain))
+    if top is None:
         return None
-    if markers[-1][0] == "point":
-        return float(markers[-1][1]), 0, markers[-1][1:] * 2
-    _, a, b = markers[-1]
+    if top[0] == "point":
+        return float(top[1]), 0, top[1:] * 2
+    _, a, b = top
     q = _square_free(chain)
+    tests = 0
+
+    def sign(n: int, d: int) -> int:
+        nonlocal tests
+        tests += 1
+        return _sign_scaled(q, n, d)
+
     D = lcm(a.denominator, b.denominator)
     A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
-    left = _sign_scaled(q, A, D)
+    left = sign(A, D)
+    x = _float_root(q, a, b, left)
+    if x is not None:
+        # x and its ulp over one power-of-two denominator E; x is a
+        # multiple of its ulp, so E is the ulp's denominator
+        (X, XD), (U, E) = x.as_integer_ratio(), ulp(x).as_integer_ratio()
+        X *= E // XD
+        for w in _SEED_ULPS:
+            L, R = X - w * U, X + w * U
+            if not A * E < L * D < R * D < B * E:
+                break  # the wider brackets stick out too
+            if sign(L, E) == left and sign(R, E) == -left:
+                A, B, D = L, R, E
+                break
     fa, fb = A / D, B / D  # only the end that moves needs a new division
-    halvings = 0
     while fa != fb:
         if nextafter(fa, fb) == fb:
             tie = (Fraction(fa) + Fraction(fb)) / 2
-            s = sign_at(q, tie)
+            s = sign(tie.numerator, tie.denominator)
             x = float(tie) if s == 0 else fa if s != left else fb
-            return x, halvings, (Fraction(A, D), Fraction(B, D))
+            return x, tests, (Fraction(A, D), Fraction(B, D))
         mid, A, B, D = A + B, 2 * A, 2 * B, 2 * D
-        halvings += 1
-        s, fm = _sign_scaled(q, mid, D), mid / D
+        s, fm = sign(mid, D), mid / D
         if s == 0:
-            return fm, halvings, (Fraction(mid, D),) * 2
+            return fm, tests, (Fraction(mid, D),) * 2
         if s != left:
             B, fb = mid, fm
         else:
             A, fa = mid, fm
-    return fa, halvings, (Fraction(A, D), Fraction(B, D))
+    return fa, tests, (Fraction(A, D), Fraction(B, D))
 
 
 def compare_top_roots(p: Sequence, q: Sequence) -> int:
     """Sign of (largest real root of p) - (largest real root of q), both
     real: the top root of p*q, isolated once, is the larger of the two,
     so which of p and q vanish there gives the verdict."""
-    top = isolate_real_roots(mul(p, q))[-1]
+    top = isolate_top_root(mul(p, q))
     if top[0] == "point":
         at_p, at_q = (sign_at(f, top[1]) == 0 for f in (p, q))
     else:

@@ -20,11 +20,12 @@ Route two, for hyperforests, reads rho off the matching polynomial:
 substituting z = x^r turns phi into x^(n-nu*r) p(z), and rho is the r-th
 root of the largest real root of p.  That root is read by
 the top-root kernel in `polynomials` that also serves the closed-form
-bounds: exact isolation on an integer Sturm chain, then sign bisection
-on the square-free part in integer arithmetic until both ends round to
-one double, the double nearest the root; its final rational bracket of
-rho^r is the certificate.  `SpectralResult.iterations` counts the power
-steps of route one and the halvings of route two.
+bounds: exact isolation of the top root on an integer Sturm chain, a
+narrow bracket from a float guess confirmed by exact signs, then sign
+bisection on the square-free part in integer arithmetic until both ends
+round to one double, the double nearest the root; its final rational
+bracket of rho^r is the certificate.  `SpectralResult.iterations` counts
+the power steps of route one and the exact sign tests of route two.
 """
 
 from __future__ import annotations
@@ -53,11 +54,12 @@ class PowerIterationError(RuntimeError):
 
 @dataclass
 class SpectralResult:
-    """`iterations`: power steps (power route) or bisection halvings of
-    rho^r's isolating interval (polyroot route, 0 for a rational rho^r
-    met by isolation).  `certificate`: for polyroot, the final rational
-    bracket of rho^r (`polynomials._nearest_top_root`), if H has an edge;
-    for power, the final float Collatz-Wielandt bracket (lo, hi) of rho."""
+    """`iterations`: power steps (power route) or the exact sign tests
+    that took rho^r from its isolating interval to the nearest double
+    (polyroot route, 0 for a rational rho^r met by isolation).
+    `certificate`: for polyroot, the final rational bracket of rho^r
+    (`polynomials._nearest_top_root`), if H has an edge; for power, the
+    final float Collatz-Wielandt bracket (lo, hi) of rho."""
 
     rho: float
     method: str
@@ -174,7 +176,7 @@ def spectral_radius_polyroot(H: Hypergraph) -> SpectralResult:
     """rho of a hyperforest as the r-th root of the top root of p(z).
 
     rho is the r-th root of the double nearest that root, `iterations`
-    the number of halvings the bisection took to find it, and
+    the number of exact sign tests it took after isolation, and
     `certificate` the rational bracket it ended on.  The eigenvector and
     residual fields are left empty.
     """
@@ -192,5 +194,5 @@ def _polyroot(profile: MatchingProfile, r: int) -> SpectralResult:
     top = poly._nearest_top_root(profile.z_poly())
     if top is None:
         raise RuntimeError("matching polynomial with no real root in z")
-    z, halvings, bracket = top
-    return SpectralResult(z ** (1.0 / r), "polyroot", iterations=halvings, certificate=bracket)
+    z, tests, bracket = top
+    return SpectralResult(z ** (1.0 / r), "polyroot", iterations=tests, certificate=bracket)

@@ -117,16 +117,16 @@ def edge_release(H: Hypergraph, e: Iterable[int]) -> Hypergraph:
 def _top_root_marker(p: list[int], evaluate) -> tuple:
     """Largest real root of p as ('point', q) or ('interval', a, b), isolated
     on p's Sturm chain as evaluated by `evaluate` (see
-    `poly.isolate_real_roots`).
+    `poly.isolate_top_root`).
 
     Degree-zero p (an edgeless hyperforest) pins the boundary at z = 0.
     """
     if poly.degree(p) <= 0:
         return ("point", Fraction(0))
-    markers = poly.isolate_real_roots(p, evaluate=evaluate)
-    if not markers:
+    marker = poly.isolate_top_root(p, evaluate=evaluate)
+    if marker is None:
         raise RuntimeError("matching polynomial lost its real root")
-    return markers[-1]
+    return marker
 
 
 def _deflate_rational_root(p: tuple, q: Fraction, sign) -> tuple[tuple, int]:

@@ -109,6 +109,18 @@ def test_bound_perfect(capsys):
     assert abs(json.loads(out)["rho"] - 1.4655712318767682) < 1e-9
 
 
+def test_bound_perfect_checks_k(capsys):
+    """--perfect bounds the k with k r = m(r-1)+1 only: another k is a
+    parameter error that names the right one."""
+    assert main(["bound", "4", "1", "3", "--perfect"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k=3 for m=4, r=3, not k=1" in captured.err
+    code, out = run(capsys, "bound", "4", "3", "3", "--perfect")
+    assert code == 0
+    assert out == '{"q": 1, "s": 0, "l": 0, "alpha0": 0.6823278038280193, "rho": 1.465571231876768}\n'
+
+
 def test_bound_infeasible_exit(capsys):
     assert main(["bound", "5", "4", "3"]) == 2
 

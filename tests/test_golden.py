@@ -31,11 +31,11 @@ VERIFY_633 = (
     '"interpretation": "exact-nu", "passed": true}\n'
 )
 
-# iterations: the halvings that bring rho^r's isolating interval down to
-# one double
+# iterations: the exact sign tests that take rho^r from its isolating
+# interval to one double
 RHO_P4_POLY = (
-    '{"method": "poly", "polyroot": {"rho": 1.618033988749895, "iterations": 52}, '
-    '"rho": 1.618033988749895, "residual": null, "iterations": 52}\n'
+    '{"method": "poly", "polyroot": {"rho": 1.618033988749895, "iterations": 7}, '
+    '"rho": 1.618033988749895, "residual": null, "iterations": 7}\n'
 )
 
 BOUND_733 = '{"q": 1, "s": 0, "l": 3, "alpha0": 0.8179995807336579, "rho": 1.7645848132290711}\n'
@@ -52,7 +52,7 @@ DEFAULT_SUITE_JSON_SHA256 = "5f67c7bd24697d84b065fdb141aa06783e629624a9a4c0af83c
 
 # sha256 of polyroot's repr(rho) and iterations over every class up to
 # r=2 m=8, r=3 m=6, r=4 m=5; rho^r is the double nearest the exact root
-POLYROOT_SHA256 = "5269514535c30d8c19fae533cd11e4c856e9ea7e5ddaab9a11b2b48236407754"
+POLYROOT_SHA256 = "8b4d851390a78302a8f6ce1066653d6a842e9d332e9d822835cfbc98867257d1"
 
 # sha256 of compare_order's tags and witness JSON, both directions, on a
 # seeded set of random hypertree and doubled-forest pairs

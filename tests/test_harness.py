@@ -191,10 +191,11 @@ def test_verdicts_on_overlapping_brackets(monkeypatch):
 
 def test_exact_tie_is_not_unique(monkeypatch):
     """Two classes at (7, 3, 2) share rho^r = 4; one bracket is the point 4
-    and the other an open interval around it, so only the exact fallback
-    can call the tie."""
+    and the other the first's isolating interval, open around it, so only
+    the exact fallback can call the tie."""
     tied = [rec for rec in enumerate_T_mkr(7, 3, 2) if rec.rho == 2.0]
     assert len(tied) == 2
+    tied[0] = _coarse(tied[0])
     assert tied[0].certificate[0] < 4 < tied[0].certificate[1] and tied[1].certificate == (4, 4)
     monkeypatch.setattr(harness, "enumerate_T_mkr", lambda *args, **kwargs: iter(tied))
     report = verify_extremal(7, 3, 2)

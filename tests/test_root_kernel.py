@@ -1,14 +1,18 @@
 """The integer root kernel against plain references.
 
 `sign_at` against `evaluate` over Fractions, sign bisection in
-`refine_isolating` against bisection on Sturm counts, and the doubles
-handed out by `_nearest_top_root` (behind polyroot and both closed-form
-bounds) and its final brackets against exact Sturm counts around them.
+`refine_isolating` against bisection on Sturm counts, `isolate_top_root`
+against the last marker of `isolate_real_roots`, and the doubles handed
+out by `_nearest_top_root` (behind polyroot and both closed-form bounds)
+against plain exact bisection, with its final brackets checked by exact
+Sturm counts around them.
 """
 
 import math
 import random
 from fractions import Fraction
+
+import pytest
 
 from hypertree_spectra import (
     InfeasibleParameters,
@@ -22,6 +26,7 @@ from hypertree_spectra import (
 )
 from hypertree_spectra import polynomials as poly
 from hypertree_spectra.constructions import _cleared_bound_poly
+from hypertree_spectra.enumeration import max_edges_guard
 
 from conftest import path_graph
 from reference_poly import evaluate
@@ -136,20 +141,22 @@ def _assert_nearest_double(p, x, hi=None):
     assert poly.count_real_roots(chain, above, top) == 0
 
 
-def _assert_bracket(p, top):
-    """The final bracket holds the top root and no other root of p: (x, x)
-    is the top root itself, an open (a, b) has nonroot ends, one root
-    inside and none above; the double handed out lies between its ends."""
+def _assert_bracket(p, top, lo=None, hi=None):
+    """The final bracket holds the top root of p in (lo, hi) and no other
+    root of p: (x, x) is the top root itself, an open (a, b) has nonroot
+    ends, one root inside and none above it below hi; the double handed
+    out lies between its ends."""
     x, _, (a, b) = top
     assert float(a) <= x <= float(b)
     if a == b:  # a root, inside the last isolating marker
-        last = poly.isolate_real_roots(p)[-1]
+        last = poly.isolate_real_roots(p, lo, hi)[-1]
         assert poly.sign_at(p, a) == 0 and last[1] <= a <= last[-1]
     else:
         chain = poly.sturm_chain(p)
+        ceiling = Fraction(hi) if hi is not None else poly.cauchy_bound(p) + 1
         assert poly.sign_at(p, a) != 0 and poly.sign_at(p, b) != 0
         assert poly.count_real_roots(chain, a, b) == 1
-        assert poly.count_real_roots(chain, b, poly.cauchy_bound(p) + 1) == 0
+        assert b < ceiling and poly.count_real_roots(chain, b, ceiling) == 0
 
 
 def test_nearest_double_on_planted_roots():
@@ -250,3 +257,130 @@ def test_isolation_evaluates_each_point_once(monkeypatch):
         markers = poly.isolate_real_roots(p)
         assert len(markers) >= 1
         assert len(seen) == len(set(seen)), p
+
+
+def _planted_poly(rng):
+    """A random integer polynomial with a few planted rational roots, some
+    of them repeated."""
+    p = [rng.randint(-30, 30) for _ in range(rng.randint(0, 6))] + [rng.choice((-1, 1)) * rng.randint(1, 30)]
+    for _ in range(rng.randint(0, 3)):
+        root = [-rng.randint(-40, 40), rng.randint(1, 9)]  # d z - n
+        for _ in range(rng.randint(1, 2)):
+            p = poly.mul(p, root)
+    return p
+
+
+def test_isolate_top_root_is_last_marker():
+    rng = random.Random(12)
+    cases = 0
+    for _ in range(2000):
+        p = _planted_poly(rng)
+        ends = [None, None]
+        if rng.random() < 0.5:
+            ends = sorted(Fraction(rng.randint(-400, 400), rng.randint(1, 40)) for _ in range(2))
+            if ends[0] == ends[1] or not (poly.sign_at(p, ends[0]) and poly.sign_at(p, ends[1])):
+                continue
+        markers = poly.isolate_real_roots(p, *ends)
+        assert poly.isolate_top_root(p, *ends) == (markers[-1] if markers else None), (p, ends)
+        cases += 1
+    assert cases > 1800
+
+
+def _guarded_classes():
+    """Every hypertree class up to the enumeration guards, r = 2..6."""
+    return [H for r in range(2, 7) for m in range(1, max_edges_guard(r) + 1) for H in enumerate_hypertrees(m, r)]
+
+
+def test_isolate_top_root_on_every_class():
+    classes = _guarded_classes()
+    assert len(classes) > 300
+    for H in classes:
+        p = _z_poly(H)
+        markers = poly.isolate_real_roots(p)
+        assert poly.isolate_top_root(p) == (markers[-1] if markers else None), H.edges
+
+
+def _plain_nearest(p, lo=None, hi=None):
+    """Reference: the double nearest the top root of p in (lo, hi) by exact
+    bisection of its isolating interval over Fractions, with no float
+    guess.  Once the ends round to adjacent doubles, the sign at the
+    midpoint of those doubles decides; a root exactly there rounds half
+    to even, as float() of a Fraction does."""
+    marker = poly.isolate_real_roots(p, lo, hi)[-1]
+    if marker[0] == "point":
+        return float(marker[1])
+    q = poly.exact_quotient(poly.primitive(p), poly.poly_gcd(p, poly.derivative(p)))
+    a, b = marker[1:]
+    left = poly.sign_at(q, a)
+    while float(a) != float(b):
+        fa, fb = float(a), float(b)
+        if math.nextafter(fa, fb) == fb:
+            tie = (Fraction(fa) + Fraction(fb)) / 2
+            s = poly.sign_at(q, tie)
+            return float(tie) if s == 0 else fa if s != left else fb
+        mid = (a + b) / 2
+        s = poly.sign_at(q, mid)
+        if s == 0:
+            return float(mid)
+        a, b = (mid, b) if s == left else (a, mid)
+    return float(a)
+
+
+def _kernel_cases():
+    """(p, lo, hi) behind polyroot on every class up to the guards and
+    behind both closed-form bounds."""
+    cases = [(_z_poly(H), None, None) for H in _guarded_classes() if H.m > 1]
+    for r in range(2, 7):
+        for m in range(1, max_edges_guard(r) + 1):
+            for k in range(1, m + 1):
+                ep = extremal_params(m, k, r)
+                if ep.feasible and (ep.q, ep.s, ep.l) != (0, 0, 0):
+                    G = _cleared_bound_poly(r, ep.q, ep.s, ep.l)
+                    cases.append((G[next(i for i, c in enumerate(G) if c) :], 0, 1))
+        for m in range(2, 40):
+            if (m * (r - 1) + 1) % r == 0:
+                cases.append(([1 - m, m - 1] + [0] * (r - 2) + [r], 0, 1))
+    return cases
+
+
+def test_seeded_kernel_matches_plain_bisection():
+    tests = []
+    for p, lo, hi in _kernel_cases():
+        top = poly._nearest_top_root(p, lo, hi)
+        assert top[0] == _plain_nearest(p, lo, hi), (p, lo, hi)
+        _assert_bracket(p, top, lo, hi)
+        tests.append(top[1])
+    # the float guess saves the halvings: a handful of exact tests per root
+    assert sum(tests) / len(tests) < 10
+
+
+def test_seed_skipped_when_floats_overflow():
+    big = 10**400
+    for p, expected in (
+        (poly.mul([-3, 1], [-1, big]), 3.0),  # (z - 3)(10^400 z - 1)
+        (poly.mul([-2, 0, 1], [-1, big]), math.sqrt(2)),  # (z^2 - 2)(10^400 z - 1)
+    ):
+        _, a, b = poly.isolate_top_root(p)
+        q = poly._square_free(poly.sturm_chain(p))
+        assert poly._float_root(q, a, b, poly.sign_at(q, a)) is None
+        top = poly._nearest_top_root(p)
+        assert top[0] == _plain_nearest(p) == expected
+        _assert_bracket(p, top)
+
+
+@pytest.mark.parametrize("shift", [2**30, -(2**30)])
+def test_seed_survives_a_bad_guess(monkeypatch, shift):
+    """A float guess 2^30 ulps off the root confirms no bracket, so the
+    halving starts from the isolating interval and still ends on the
+    nearest double."""
+    guess = poly._float_root
+
+    def off(q, a, b, left):
+        x = guess(q, a, b, left)
+        return None if x is None else x + shift * math.ulp(x)
+
+    monkeypatch.setattr(poly, "_float_root", off)
+    for p, lo, hi in _kernel_cases():
+        top = poly._nearest_top_root(p, lo, hi)
+        assert top[0] == _plain_nearest(p, lo, hi), (p, lo, hi, shift)
+        _assert_bracket(p, top, lo, hi)
