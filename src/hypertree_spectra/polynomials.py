@@ -342,7 +342,9 @@ def refine_isolating(p: Sequence, a: Fraction, b: Fraction, width: Fraction, cha
     return ("interval", Fraction(A, D), Fraction(B, D))
 
 
-# half-widths, in ulps of the float guess, of the brackets tried around it
+# half-widths, in ulps of the float guess, of the brackets tried around it:
+# guesses are a few ulps off up to about 20 edges, hundreds at 30, up to
+# 2^15 at 50 and up to 2^24 or more at 100
 _SEED_ULPS = (2**2, 2**8, 2**16, 2**26)
 
 
@@ -454,6 +456,8 @@ def compare_top_roots(p: Sequence, q: Sequence) -> int:
     real: the top root of p*q, isolated once, is the larger of the two,
     so which of p and q vanish there gives the verdict."""
     top = isolate_top_root(mul(p, q))
+    if top is None:
+        raise ValueError("p and q need a real root")
     if top[0] == "point":
         at_p, at_q = (sign_at(f, top[1]) == 0 for f in (p, q))
     else:

@@ -134,6 +134,9 @@ def test_compare_top_roots():
     assert poly.compare_top_roots([-4, 1], [1, -3, 1]) == 1
     assert poly.compare_top_roots([-2, 1], [1, -3, 1]) == -1
     assert poly.compare_top_roots([-4, 1], [-8, 14, -7, 1]) == 0
+    # no real root to compare
+    with pytest.raises(ValueError, match="need a real root"):
+        poly.compare_top_roots([1, 0, 1], [1, 0, 1])
 
 
 def test_largest_real_root_float():

@@ -368,11 +368,8 @@ def test_seed_skipped_when_floats_overflow():
         _assert_bracket(p, top)
 
 
-@pytest.mark.parametrize("shift", [2**30, -(2**30)])
-def test_seed_survives_a_bad_guess(monkeypatch, shift):
-    """A float guess 2^30 ulps off the root confirms no bracket, so the
-    halving starts from the isolating interval and still ends on the
-    nearest double."""
+def _shifted_guess(monkeypatch, shift):
+    """Make every float guess `shift` ulps off."""
     guess = poly._float_root
 
     def off(q, a, b, left):
@@ -380,6 +377,34 @@ def test_seed_survives_a_bad_guess(monkeypatch, shift):
         return None if x is None else x + shift * math.ulp(x)
 
     monkeypatch.setattr(poly, "_float_root", off)
+
+
+@pytest.mark.parametrize(
+    "shift, width", [(s * d, w) for s, w in ((2**5, 2**8), (2**12, 2**16), (2**20, 2**26)) for d in (1, -1)]
+)
+def test_wider_seed_brackets_confirm(monkeypatch, shift, width):
+    """Float guesses drift from a few ulps (m <= 20) to 2^20 and more (m
+    near 100) as the polynomials grow.  A guess off by 2^5, 2^12 or 2^20
+    ulps is caught by the bracket of 2^8, 2^16 or 2^26 ulps: past the left
+    sign and at most two tests for each narrower width, its two tests and
+    the halvings down to one ulp leave far fewer tests than the about 50
+    halvings from the isolating interval."""
+    index = poly._SEED_ULPS.index(width)
+    most = 1 + 2 * index + 2 + (width.bit_length() + 1) + 1
+    _shifted_guess(monkeypatch, shift)
+    for p, lo, hi in _kernel_cases():
+        top = poly._nearest_top_root(p, lo, hi)
+        assert top[0] == _plain_nearest(p, lo, hi), (p, lo, hi, shift)
+        _assert_bracket(p, top, lo, hi)
+        assert top[1] <= most, (p, lo, hi, shift, top[1])
+
+
+@pytest.mark.parametrize("shift", [2**30, -(2**30)])
+def test_seed_survives_a_bad_guess(monkeypatch, shift):
+    """A float guess 2^30 ulps off the root confirms no bracket, so the
+    halving starts from the isolating interval and still ends on the
+    nearest double."""
+    _shifted_guess(monkeypatch, shift)
     for p, lo, hi in _kernel_cases():
         top = poly._nearest_top_root(p, lo, hi)
         assert top[0] == _plain_nearest(p, lo, hi), (p, lo, hi, shift)
