@@ -67,7 +67,9 @@ def _cmd_rho(args) -> int:
     out["residual"] = out.get("power", {}).get("residual")
     out["iterations"] = sum(d["iterations"] for d in out.values() if isinstance(d, dict) and "iterations" in d)
     if args.method == "both":
-        out["relative_gap"] = abs(out["power"]["rho"] - out["polyroot"]["rho"]) / out["rho"]
+        gap = abs(out["power"]["rho"] - out["polyroot"]["rho"])
+        # rho = 0 only without edges, where both routes give 0
+        out["relative_gap"] = gap / out["rho"] if out["rho"] else gap
     print(json.dumps(out))
     return 0
 

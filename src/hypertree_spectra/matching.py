@@ -1,11 +1,17 @@
 """Exact matching counts and the matching polynomial.
 
-Counts m(H, k) of k-matchings of a hyperforest come from one pass over
-each incidence tree, children before parents (the tree recurrence for
-matching polynomials).  Only cyclic input uses the edge-deletion
-recurrence m(H, k) = m(H \\ e, k) + m(H - V(e), k - 1), one component at
-a time, branching on an edge that closes a cycle, so its depth grows with
-the number of independent cycles, not with m.  Everything is arbitrary
+Counts m(H, k) of k-matchings of a hyperforest come from the tree
+recurrence for matching polynomials, run over each incidence tree
+children before parents.  The run keeps each polynomial in t as one
+packed int (Kronecker substitution: t = 2^B, with B-bit slots too wide
+for any count to carry into the next), so each product of the
+recurrence is a single bigint multiply.  A first run at t = 1 counts the
+matchings below each node, which sizes its slots.
+
+Only cyclic input uses the edge-deletion recurrence
+m(H, k) = m(H \\ e, k) + m(H - V(e), k - 1), one component at a time,
+branching on an edge that closes a cycle, so its depth grows with the
+number of independent cycles, not with m.  Everything is arbitrary
 precision; the brute-force subset enumerator is kept as an independent
 oracle.
 
@@ -114,28 +120,67 @@ class MatchPoly:
         return cls.from_json_dict(json.loads(text))
 
 
+def _widen(v: int, w: int, w2: int) -> int:
+    """Packed int v with w-byte slots, repacked with w2-byte slots."""
+    data = v.to_bytes((v.bit_length() + 7) // 8, "little")
+    return int.from_bytes(bytes(w2 - w).join([data[i : i + w] for i in range(0, len(data), w)]), "little")
+
+
+def _fold(H: Hypergraph, order: list[int], parent: list[int], width: list[int]) -> tuple[int, list[int]]:
+    """The fold of `_forest_counts`, packed at width[x] bytes a slot at
+    node x and width[-1] at the forest's root; also each node's
+    full.bit_length()."""
+    bits = [0] * len(order)
+    # (full, free) folded so far from the children of each node; the
+    # forest's tree roots multiply into node -1
+    below: dict[int, tuple[int, int]] = {}
+    n = H.n
+    for x in reversed(order):
+        full, free = below.pop(x, (1, 1))
+        w = width[x]
+        if x >= n:  # an edge: the products over its vertices become (full, free)
+            full, free = full + (free << 8 * w), full
+        bits[x] = full.bit_length()
+        p = parent[x]
+        if width[p] != w:
+            full, free = _widen(full, w, width[p]), _widen(free, w, width[p])
+        a, f = below.get(p, (1, 1))
+        if x >= n and p >= 0:  # edge x covers vertex p, or stays out
+            a = a * free + f * (full - free)
+        else:
+            a = a * full
+        below[p] = (a, f * free if p >= 0 else f)
+    return below.get(-1, (1,))[0], bits
+
+
 def _forest_counts(H: Hypergraph) -> list[int]:
     """Counts of a hyperforest as a polynomial in t, children before parents.
 
     Each node x carries (full, free): the matchings below x, all of them
-    and those leaving x out (for an edge node: not using the edge).
+    and those leaving x out (for an edge node: not using the edge).  The
+    polynomials are packed ints (Kronecker substitution): sum c_k t^k is
+    sum c_k 2^(kB), so a product is one bigint multiply, a sum one add,
+    and a factor t a shift by B.
+
+    The first fold runs at B = 0, i.e. t = 1: it counts Z_x, the number
+    of matchings below each node x, and Z = M(H, 1) for all of H.  The
+    second runs at B_x = Z_x.bit_length(), rounded up to whole bytes, at
+    node x, and the values a child hands its parent are repacked to the
+    parent's wider slots.  No slot ever carries or borrows: every value
+    formed at x (full, free, full - free, the products, a) has
+    nonnegative coefficients and counts matchings of a sub-hyperforest of
+    x's subtree, so its coefficient sum is at most Z_x < 2^(B_x).  The
+    counts are then the slots of the final int, read in one pass over its
+    bytes.  Slots sized per node, rather than all at Z's width, keep the
+    many small products below the root small.
     """
     order, parent = _incidence_walk(H)
-    # (full, free) folded so far from the children of each node; the
-    # forest's tree roots multiply into node -1
-    below: dict[int, tuple[list[int], list[int]]] = {}
-    for x in reversed(order):
-        full, free = below.pop(x, ([1], [1]))
-        if x >= H.n:  # an edge: the products over its vertices become (full, free)
-            full, free = poly.add(full, [0] + free), full
-        p = parent[x]
-        a, f = below.get(p, ([1], [1]))
-        if x >= H.n and p >= 0:  # edge x covers vertex p, or stays out
-            a = poly.add(poly.mul(a, free), poly.mul(f, poly.sub(full, free)))
-        else:
-            a = poly.mul(a, full)
-        below[p] = (a, poly.mul(f, free) if p >= 0 else f)
-    return below.get(-1, ([1],))[0]
+    Z, bits = _fold(H, order, parent, [0] * (len(order) + 1))
+    size = (Z.bit_length() + 7) // 8
+    width = [(b + 7) // 8 for b in bits] + [size]  # width[-1]: the forest's root
+    packed, _ = _fold(H, order, parent, width)
+    data = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
 def _cyclic_counts(H: Hypergraph, e: tuple[int, ...], find: Callable[[int], int]) -> list[int]:

@@ -65,6 +65,17 @@ def test_rho_both(capsys, tree_file):
     assert data["residual"] <= 1e-10
 
 
+def test_rho_both_without_edges(capsys, tmp_path):
+    """Both routes give rho = 0 on vertices without edges: a zero gap, not a crash."""
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"r": 2, "n": 3, "edges": []}))
+    code, out = run(capsys, "rho", str(path), "--method", "both")
+    assert code == 0
+    data = json.loads(out)
+    assert data["rho"] == data["power"]["rho"] == data["polyroot"]["rho"] == 0.0
+    assert data["relative_gap"] == 0.0
+
+
 def test_rho_single_methods(capsys, tree_file):
     code, out = run(capsys, "rho", tree_file, "--method", "power", "--tol", "1e-8")
     assert code == 0

@@ -25,6 +25,9 @@ from hypertree_spectra import (
     random_hypertree,
     single_edge,
 )
+from hypertree_spectra.enumeration import max_edges_guard
+from hypertree_spectra.matching import BRUTE_FORCE_EDGE_LIMIT, _forest_counts
+from reference_counts import forest_counts
 from sparse_poly import sp_equal, sp_mul, sp_sub
 
 from conftest import path_graph
@@ -257,3 +260,60 @@ def test_cyclic_counts_match_brute_force():
         for _ in range(40):
             H = _random_cyclic(r, rng)
             assert matching_counts(H).counts == brute_force_counts(H).counts
+
+
+def _assert_packed_fold(H):
+    """The packed-int fold against the list fold, and brute force where it runs."""
+    counts = _forest_counts(H)
+    assert counts == forest_counts(H), H.edges
+    if H.m <= BRUTE_FORCE_EDGE_LIMIT:
+        assert tuple(counts) == brute_force_counts(H).counts, H.edges
+
+
+def test_packed_fold_on_every_class():
+    classes = [H for r in range(2, 7) for m in range(1, max_edges_guard(r) + 1) for H in enumerate_hypertrees(m, r)]
+    assert len(classes) > 300
+    for H in classes:
+        _assert_packed_fold(H)
+
+
+def _scatter(F, n, rng):
+    """F relabelled at random into n >= F.n vertices, the rest isolated."""
+    label = rng.sample(range(n), n)
+    return Hypergraph(F.r, n, tuple(tuple(label[v] for v in e) for e in F.edges))
+
+
+def test_packed_fold_on_forests_with_isolated_vertices():
+    rng = random.Random(7)
+    for _ in range(60):
+        F = random_hyperforest([rng.randrange(1, 7) for _ in range(rng.randrange(2, 5))], rng.choice((2, 3, 4)), rng)
+        _assert_packed_fold(_scatter(F, F.n + rng.randrange(1, 5), rng))
+    # components whose counts need slots of different widths
+    for sizes in ([40, 1], [1, 60, 9], [120, 30, 2]):
+        F = random_hyperforest(sizes, 3, rng)
+        _assert_packed_fold(_scatter(F, F.n + 3, rng))
+
+
+def test_packed_fold_without_edges():
+    for n in (0, 1, 5):
+        assert _forest_counts(Hypergraph(3, n, ())) == [1]
+
+
+def test_packed_fold_big_tree():
+    H = random_hypertree(1000, 3, random.Random(1))
+    counts = _forest_counts(H)
+    assert counts == forest_counts(H)
+    assert counts[:2] == [1, 1000] and counts[2] == _two_matchings(H)
+
+
+@pytest.mark.parametrize("j", range(1, 17))
+def test_packed_fold_at_slot_boundaries(j):
+    """A hyperstar with m edges has m + 1 matchings, so 2^j - 1 and 2^j - 2
+    edges put M(H, 1) at and just below a power of two."""
+    for m in (2**j - 1, 2**j - 2):
+        if m < 1:
+            continue
+        H = hyperstar(m, 2 if j > 10 else 3)
+        assert _forest_counts(H) == [1, m]
+        if j <= 12:
+            assert forest_counts(H) == [1, m]
