@@ -6,6 +6,7 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or parameter error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -28,18 +29,7 @@ from .transforms import compare_order, majorization_chain
 def _cmd_validate(args) -> int:
     H = load(args.file)
     report = validate(H)
-    print(
-        json.dumps(
-            {
-                "uniform": report.uniform,
-                "linear": report.linear,
-                "connected": report.connected,
-                "acyclic": report.acyclic,
-                "is_hypertree": report.is_hypertree,
-                "violations": list(report.violations),
-            }
-        )
-    )
+    print(json.dumps(dataclasses.asdict(report)))  # field order is key order
     return 0 if report.is_hypertree else 1
 
 
@@ -113,30 +103,13 @@ def _cmd_bound(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.matching is None:
-        for code, (H, _) in _classes(args.m, args.r).items():
-            print(
-                json.dumps(
-                    {
-                        "code": code.decode("ascii"),
-                        "n": H.n,
-                        "edges": [list(e) for e in H.edges],
-                        "nu": len(_counts(H)) - 1,
-                    }
-                )
-            )
+        rows = ((code, H, len(_counts(H)) - 1, {}) for code, (H, _) in _classes(args.m, args.r).items())
     else:
-        for rec in enumerate_T_mkr(args.m, args.matching, args.r, at_least=args.at_least):
-            print(
-                json.dumps(
-                    {
-                        "code": rec.code.decode("ascii"),
-                        "n": rec.hypergraph.n,
-                        "edges": [list(e) for e in rec.hypergraph.edges],
-                        "nu": rec.nu,
-                        "rho": rec.rho,
-                    }
-                )
-            )
+        records = enumerate_T_mkr(args.m, args.matching, args.r, at_least=args.at_least)
+        rows = ((rec.code, rec.hypergraph, rec.nu, {"rho": rec.rho}) for rec in records)
+    for code, H, nu, extra in rows:
+        row = {"code": code.decode("ascii"), "n": H.n, "edges": [list(e) for e in H.edges], "nu": nu}
+        print(json.dumps(row | extra))
     return 0
 
 

@@ -11,7 +11,8 @@ maximum root in (0, 1) of
     x^(r-1) * (1/(1-x) - x^(-s) - l) = q,
 
 which specializes, for hypertrees with a perfect matching, to
-r x^r = (m - 1)(1 - x).  Both bounds take alpha0 from exact root
+r x^r = (m - 1)(1 - x): 0 = kr = m(r-1) + 1 = -(m-1) mod r, so r | m - 1,
+s = l = 0 and q = (m-1)/r.  The bound takes alpha0 from exact root
 isolation on an integer polynomial, as the double nearest the root.
 """
 
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from . import polynomials as poly
-from .hypergraph import Hypergraph, single_edge
+from .hypergraph import Hypergraph, _with_pendents, single_edge
 
 
 class InfeasibleParameters(ValueError):
@@ -98,12 +99,6 @@ def hyperstar(m: int, r: int) -> Hypergraph:
     return Hypergraph(r, m * (r - 1) + 1, tuple(edges))
 
 
-def _attach_pendent(edges: list[tuple[int, ...]], n: int, v: int, r: int) -> int:
-    """Append a pendent edge at v using fresh vertex ids; returns the new n."""
-    edges.append((v, *range(n, n + r - 1)))
-    return n + r - 1
-
-
 def build_S(pendants: Union[CompositionVector, Sequence[int]], r: int) -> Hypergraph:
     """S(a_1, ..., a_b): hyperstar on b edges with a_i pendent edges on edge i.
 
@@ -118,44 +113,25 @@ def build_S(pendants: Union[CompositionVector, Sequence[int]], r: int) -> Hyperg
         raise ValueError("pendant counts must be nonnegative")
     if any(x > r - 1 for x in a):
         raise ValueError(f"an edge has only {r - 1} core vertices for pendants")
-    star = hyperstar(len(a), r)
-    edges = list(star.edges)
-    n = star.n
-    for i, count in enumerate(a):
-        base = 1 + i * (r - 1)
-        for t in range(count):
-            n = _attach_pendent(edges, n, base + t, r)
-    return Hypergraph(r, n, tuple(edges))
+    cores = [1 + i * (r - 1) + t for i, count in enumerate(a) for t in range(count)]
+    return _with_pendents(hyperstar(len(a), r), cores)
 
 
 def build_Ra(a: int, r: int) -> Hypergraph:
     """R_a: one central edge with a pendent edges on a of its vertices."""
     if not 1 <= a <= r:
         raise ValueError(f"need 1 <= a <= {r}")
-    H = single_edge(r)
-    edges = list(H.edges)
-    n = H.n
-    for v in range(a):
-        n = _attach_pendent(edges, n, v, r)
-    return Hypergraph(r, n, tuple(edges))
+    return _with_pendents(single_edge(r), range(a))
 
 
 def build_Tva(T: Hypergraph, v: int, a: int) -> Hypergraph:
     """T(v; a): glue R_a to T by identifying a free core vertex of its
-    central edge with v.  a = 0 degenerates to a bare pendent edge at v."""
+    central edge with v (so the edge takes the ids T.n onward, a of them
+    getting pendants).  a = 0 degenerates to a bare pendent edge at v."""
     T.check_vertex(v)
     if not 0 <= a <= T.r - 1:
         raise ValueError(f"need 0 <= a <= {T.r - 1} so the central edge keeps a free core vertex")
-    r = T.r
-    edges = list(T.edges)
-    n = T.n
-    central = (v, *range(n, n + r - 1))
-    attach_points = central[1 : 1 + a]
-    edges.append(central)
-    n += r - 1
-    for u in attach_points:
-        n = _attach_pendent(edges, n, u, r)
-    return Hypergraph(r, n, tuple(edges))
+    return _with_pendents(T, (v, *range(T.n, T.n + a)))
 
 
 def build_Tvab(T: Hypergraph, v: int, a: int, b: int) -> Hypergraph:
@@ -231,11 +207,11 @@ def rho_bound(m: int, k: int, r: int) -> BoundResult:
 
 
 def perfect_matching_bound(m: int, r: int) -> BoundResult:
-    """Bound specialization when the matching is perfect (kr = m(r-1) + 1).
-
-    alpha0 is the maximum root in (0, 1) of r a^r = (m-1)(1-a); the left
-    side increases and the right side decreases, so the root is unique.
-    """
+    """Bound specialization when the matching is perfect (kr = m(r-1) + 1):
+    `rho_bound` at s = l = 0, since 0 = kr = -(m-1) mod r makes r divide
+    m - 1, and k - 1 = q (r-1) with q = (m-1)/r.  There r G(a) is
+    r a^r + (m-1) a - (m-1), so alpha0 is the unique root in (0, 1) of
+    r a^r = (m-1)(1-a)."""
     if r < 2:
         raise ValueError("edge size must be at least 2")
     if m < 1:
@@ -245,7 +221,4 @@ def perfect_matching_bound(m: int, r: int) -> BoundResult:
         raise InfeasibleParameters(
             f"m={m}, r={r}: perfect matching needs r | m(r-1)+1 (n={n})"
         )
-    if m == 1:
-        return BoundResult(0.0, 1.0, (Fraction(0), Fraction(0)))
-    alpha0, _, bracket = poly._nearest_top_root([1 - m, m - 1] + [0] * (r - 2) + [r], 0, 1)
-    return BoundResult(alpha0, (1.0 / (1.0 - alpha0)) ** (1.0 / r), bracket)
+    return rho_bound(m, n // r, r)

@@ -31,6 +31,7 @@ from .hypergraph import (
     CanonicalCode,
     Hypergraph,
     _forest_code,
+    _with_pendents,
     automorphism_count,
     canonical_code,
     single_edge,
@@ -50,9 +51,7 @@ def max_edges_guard(r: int) -> int:
 
 def attach_pendent(H: Hypergraph, v: int) -> Hypergraph:
     """Grow a hypertree by one pendent edge at v (fresh vertices appended)."""
-    H.check_vertex(v)
-    edge = (v, *range(H.n, H.n + H.r - 1))
-    return Hypergraph(H.r, H.n + H.r - 1, H.edges + (edge,))
+    return _with_pendents(H, (H.check_vertex(v),))
 
 
 def enumerate_hypertrees(m: int, r: int) -> tuple[Hypergraph, ...]:

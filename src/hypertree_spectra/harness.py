@@ -22,11 +22,9 @@ from typing import Optional
 
 from . import polynomials as poly
 from .constructions import (
-    InfeasibleParameters,
     _cleared_bound_poly,
     build_A,
     extremal_params,
-    perfect_matching_bound,
     rho_bound,
 )
 from .enumeration import EnumerationRecord, enumerate_T_mkr, max_edges_guard
@@ -111,16 +109,20 @@ def _matches_bound(winner: EnumerationRecord, G: list[int], alpha_bracket: tuple
     return lo < hi and poly.count_real_roots(poly.sturm_chain(g), lo, hi) > 0
 
 
-def _verify(m: int, k: int, r: int, at_least: bool, bound_of) -> VerificationReport:
-    """The report against `bound_of(m, k, r)`, whose alpha0 is a root of `_cleared_bound_poly`."""
-    params = extremal_params(m, k, r)
-    if not params.feasible:
-        raise InfeasibleParameters(f"no hypertree with m={m}, k={k}, r={r}")
+def verify_extremal(m: int, k: int, r: int, at_least: bool = False) -> VerificationReport:
+    """Exhaustively check that A(m, k, r) is the unique rho maximizer.
+
+    `rho_bound` runs first and raises InfeasibleParameters.  The verdicts
+    are exact: classes are ordered by the rational brackets of their rho^r
+    (`_compare`), and the bound is matched by a common root of two integer
+    polynomials (`_matches_bound`).
+    """
+    bound = rho_bound(m, k, r)
     records = list(enumerate_T_mkr(m, k, r, at_least=at_least))
     if not records:
         raise RuntimeError(f"feasible parameters produced no classes: {(m, k, r)}")
     winner = max(records, key=cmp_to_key(_compare))  # the first of equals: the lowest code
-    bound = bound_of(m, k, r)
+    params = extremal_params(m, k, r)
     G = _cleared_bound_poly(r, params.q, params.s, params.l)
     return VerificationReport(
         m=m,
@@ -137,29 +139,18 @@ def _verify(m: int, k: int, r: int, at_least: bool, bound_of) -> VerificationRep
     )
 
 
-def verify_extremal(m: int, k: int, r: int, at_least: bool = False) -> VerificationReport:
-    """Exhaustively check that A(m, k, r) is the unique rho maximizer.
-
-    The verdicts are exact: classes are ordered by the rational brackets
-    of their rho^r (`_compare`), and the bound is matched by a common root
-    of two integer polynomials (`_matches_bound`).
-    """
-    return _verify(m, k, r, at_least, rho_bound)
-
-
 def verify_perfect_matching(r: int, k: int) -> VerificationReport:
     """Extremality among hypertrees with a perfect matching.
 
     m is forced to (kr - 1)/(r - 1); non-integral m is an error.  The
-    bound comes from the perfect-matching specialization: there s = l = 0,
-    and r a^r + (m - 1) a - (m - 1) is r times `_cleared_bound_poly`.
+    report is `verify_extremal(m, k, r)`, whose `rho_bound` at s = l = 0
+    is `perfect_matching_bound(m, r)`.
     """
     if r < 2:
         raise ValueError("edge size must be at least 2")
     if (k * r - 1) % (r - 1):
         raise ValueError(f"(kr-1)/(r-1) is not an integer for r={r}, k={k}")
-    m = (k * r - 1) // (r - 1)
-    return _verify(m, k, r, False, lambda m, k, r: perfect_matching_bound(m, r))
+    return verify_extremal((k * r - 1) // (r - 1), k, r)
 
 
 # ---------------------------------------------------------------------------

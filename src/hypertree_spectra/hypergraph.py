@@ -103,6 +103,16 @@ def single_edge(r: int) -> Hypergraph:
     return Hypergraph(r, r, (tuple(range(r)),))
 
 
+def _with_pendents(H: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
+    """H plus a pendent edge at each of `vertices` in turn, the i-th on fresh
+    ids from n + i(r-1), so a later vertex may be one an earlier edge made."""
+    r1, n, edges = H.r - 1, H.n, H.edges
+    for v in vertices:
+        edges += ((v, *range(n, n + r1)),)
+        n += r1
+    return Hypergraph(H.r, n, edges)
+
+
 # ---------------------------------------------------------------------------
 # validation and local structure
 # ---------------------------------------------------------------------------

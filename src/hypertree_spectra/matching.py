@@ -92,17 +92,6 @@ class MatchPoly:
             if (c > 0) != (k % 2 == 0):
                 raise ValueError("signs must alternate with k")
 
-    @property
-    def nu(self) -> int:
-        return max((self.n - e) // self.r for e in self.coeffs)
-
-    def counts(self) -> tuple[int, ...]:
-        return tuple(abs(self.coeffs.get(self.n - k * self.r, 0)) for k in range(self.nu + 1))
-
-    def z_coeffs(self) -> list[int]:
-        """Coefficients of p(z) with phi(H, x) = x^(n - nu*r) * p(x^r), ascending."""
-        return MatchingProfile(self.counts()).z_poly()
-
     def to_json_dict(self) -> dict:
         coeffs = {str(e): str(self.coeffs[e]) for e in sorted(self.coeffs, reverse=True)}
         return {"n": self.n, "r": self.r, "coeffs": coeffs}

@@ -16,7 +16,6 @@ from hypertree_spectra import (
     delete_vertex,
     disjoint_union,
     enumerate_hypertrees,
-    extremal_params,
     hyperstar,
     is_pendent_edge,
     matching_polynomial,
@@ -40,6 +39,7 @@ from hypertree_spectra.constructions import CompositionVector
 from hypertree_spectra.enumeration import NAIVE_FILTER_CELLS
 from hypertree_spectra.harness import SuiteConfig
 from sparse_poly import sp_equal, sp_monomial, sp_mul, sp_pow, sp_sub
+from conftest import perfect_cells, perfect_matching_reference
 from hypertree_spectra.transforms import PRECEDES_STRICT, is_majorized, majorization_chain
 
 DESK_RANGE = [(2, 8), (3, 6), (4, 5)]
@@ -304,17 +304,11 @@ def test_criterion_10_perfect_matching():
         report = verify_perfect_matching(r, k)
         assert report.passed, (r, k, report)
     agreements = 0
-    for r, m_max in DESK_RANGE:
-        for m in range(1, m_max + 1):
-            n = m * (r - 1) + 1
-            if n % r:
-                continue
-            k = n // r
-            if not extremal_params(m, k, r).feasible:
-                continue
-            gap = abs(perfect_matching_bound(m, r).rho - rho_bound(m, k, r).rho)
-            assert gap <= 1e-10, (m, r, gap)
-            agreements += 1
+    for m, r, k in perfect_cells():
+        expected = perfect_matching_reference(m, r)
+        for bound in (perfect_matching_bound(m, r), rho_bound(m, k, r)):
+            assert (bound.alpha0, bound.rho, bound.certificate) == expected, (m, r)
+        agreements += 1
     print(f"criterion 10 PASS - perfect matchings: 4 verified cases, {agreements} bound consistency checks")
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from hypertree_spectra import (
     CompositionVector,
+    Hypergraph,
     InfeasibleParameters,
     brute_force_counts,
     build_A,
@@ -21,11 +22,13 @@ from hypertree_spectra import (
     single_edge,
     spectral_radius_polyroot,
     validate,
+    verify_extremal,
     verify_perfect_matching,
 )
+from hypertree_spectra.enumeration import max_edges_guard
 from sparse_poly import sp_equal, sp_monomial, sp_mul, sp_pow, sp_sub
 
-from conftest import path_graph
+from conftest import path_graph, perfect_cells, perfect_matching_reference
 
 
 def closed_form_Ra(a: int, r: int) -> dict:
@@ -92,6 +95,56 @@ def test_build_Tva_examples():
 def test_build_Tvab_symmetry():
     T = single_edge(4)
     assert is_isomorphic(build_Tvab(T, 0, 2, 1), build_Tvab(T, 0, 1, 2))
+
+
+def _append_pendent(edges: list, n: int, v: int, r: int) -> int:
+    """The builders' former pendant step: append a pendent edge at v on fresh ids."""
+    edges.append((v, *range(n, n + r - 1)))
+    return n + r - 1
+
+
+def _appended_S(a, r):
+    star = hyperstar(len(a), r)
+    edges, n = list(star.edges), star.n
+    for i, count in enumerate(a):
+        for t in range(count):
+            n = _append_pendent(edges, n, 1 + i * (r - 1) + t, r)
+    return Hypergraph(r, n, tuple(edges))
+
+
+def _appended_Ra(a, r):
+    edges, n = list(single_edge(r).edges), r
+    for v in range(a):
+        n = _append_pendent(edges, n, v, r)
+    return Hypergraph(r, n, tuple(edges))
+
+
+def _appended_Tva(T, v, a):
+    r, edges, n = T.r, list(T.edges), T.n
+    central = (v, *range(n, n + r - 1))
+    edges.append(central)
+    n += r - 1
+    for u in central[1 : 1 + a]:
+        n = _append_pendent(edges, n, u, r)
+    return Hypergraph(r, n, tuple(edges))
+
+
+def test_builders_match_append_loop(rng):
+    """Same vertex count and edge tuples as the append loop they replaced."""
+    from itertools import product
+
+    from hypertree_spectra import random_hypertree
+
+    for r in range(2, 7):
+        for a in product(range(r), repeat=3):
+            assert build_S(a, r) == _appended_S(a, r), (a, r)
+        for a in range(1, r + 1):
+            assert build_Ra(a, r) == _appended_Ra(a, r), (a, r)
+        for _ in range(20):
+            T = random_hypertree(rng.randrange(1, 7), r, rng)
+            v, a, b = rng.randrange(T.n), rng.randrange(r), rng.randrange(r)
+            assert build_Tva(T, v, a) == _appended_Tva(T, v, a), (T, v, a)
+            assert build_Tvab(T, v, a, b) == _appended_Tva(_appended_Tva(T, v, b), v, a), (T, v, a, b)
 
 
 def test_Ra_closed_form_exact():
@@ -237,15 +290,22 @@ def test_perfect_matching_rejects_small_edges():
 
 
 def test_perfect_agrees_with_general_bound():
-    for r in (2, 3, 4):
-        for m in range(1, 9):
-            n = m * (r - 1) + 1
-            if n % r:
-                continue
-            k = n // r
-            if not extremal_params(m, k, r).feasible:
-                continue
-            assert abs(perfect_matching_bound(m, r).rho - rho_bound(m, k, r).rho) <= 1e-10
+    """Both bounds give exactly what r a^r + (m-1) a - (m-1) gives."""
+    for m, r, k in perfect_cells():
+        expected = perfect_matching_reference(m, r)
+        for bound in (perfect_matching_bound(m, r), rho_bound(m, k, r)):
+            assert (bound.alpha0, bound.rho, bound.certificate) == expected, (m, r)
+
+
+def test_verify_perfect_matching_is_verify_extremal():
+    """Every perfect cell up to the guards with r <= 6 (beyond, only m = 1)."""
+    cells = 0
+    for m, r, k in perfect_cells(6, 12):
+        if m > max_edges_guard(r):
+            continue
+        assert verify_perfect_matching(r, k).to_json_dict() == verify_extremal(m, k, r).to_json_dict()
+        cells += 1
+    assert cells == 12
 
 
 def test_composition_vector_invariants():
