@@ -11,14 +11,17 @@ square-free part at dyadic points (Rouillier & Zimmermann, JCAM 162,
 2004).  Exact division is integer long division by a primitive divisor,
 so no polynomial is ever divided over the rationals.
 
-A top root is isolated by the same bisection descending only into the
-half that holds it (`isolate_top_root`).  The one float it yields is the
-double nearest it, decided by exact signs: a float Newton guess only
-proposes a narrow bracket, which two exact signs confirm before the
-bisection starts from it (float search, exact certificate, as in
-Sagraloff & Mehlhorn, J. Symb. Comput. 73, 2016).  The double comes with
-the rational bracket it was read from; `compare_top_roots` orders two
-top roots exactly where their brackets overlap.
+One lazy bisection, kept on a stack with no recursion, yields the
+isolating markers from the largest root down: all of them for
+`isolate_real_roots`, only the first for `isolate_top_root`, which so
+halves just the intervals on the way down to the top root.  The one
+float read off a top root is the double nearest it, decided by exact
+signs: a float Newton guess only proposes a narrow bracket, which two
+exact signs confirm before the bisection starts from it (float search,
+exact certificate, as in Sagraloff & Mehlhorn, J. Symb. Comput. 73,
+2016).  The double comes with the rational bracket it was read from;
+`compare_top_roots` orders two top roots exactly where their brackets
+overlap.
 """
 
 from __future__ import annotations
@@ -222,65 +225,37 @@ def _dyadic_points(a, b):
 
 
 def isolate_real_roots(p: Sequence, lo=None, hi=None, evaluate=None) -> list[tuple]:
-    """Isolate the distinct real roots of p in (lo, hi).
+    """Isolate the distinct real roots of p in (lo, hi), by default
+    +-(Cauchy bound + 1), whose ends must not be roots.
 
     Returns markers in increasing order, each either ("point", q) for an
     exact rational root or ("interval", a, b) for an open interval holding
     exactly one root with p(a) != 0 != p(b).  `evaluate(x)` is
     `_variations` of p's Sturm chain at x, if the caller has the chain or
     keeps its evaluations; the chain's first element is a positive
-    multiple of p, so the same evaluation tells where p vanishes.
+    multiple of p, so the same evaluation tells where p vanishes.  The
+    markers come from one lazy bisection with no recursion (`_roots_down`).
     """
-    p = trim(p)
-    if len(p) <= 1:
-        return []
-    out: list[tuple] = []
-
-    # va, vb: sign variations of the chain at a and b, evaluated once per
-    # point; the same evaluation tells whether p vanishes there
-    def rec(a: Fraction, b: Fraction, va: int, vb: int) -> None:
-        if va == vb:
-            return
-        if va - vb == 1:
-            out.append(("interval", a, b))
-            return
-        l, vl, point, r, vr = _split(a, b, evaluate)
-        rec(a, l, va, vl)
-        if point is not None:
-            out.append(("point", point))
-        rec(r, b, vr, vb)
-
-    lo, hi, evaluate, va, vb = _isolation_start(p, lo, hi, evaluate)
-    rec(lo, hi, va, vb)
-    return out
+    return list(_roots_down(p, lo, hi, evaluate))[::-1]
 
 
 def isolate_top_root(p: Sequence, lo=None, hi=None, evaluate=None) -> tuple | None:
-    """`isolate_real_roots(p, lo, hi, evaluate)[-1]`, or None for no root,
-    found by the same bisection descending only into the half that holds
-    the largest root."""
+    """`isolate_real_roots(p, lo, hi, evaluate)[-1]`, or None for no root:
+    the first marker of the same lazy bisection, which halves nothing below it."""
+    return next(_roots_down(p, lo, hi, evaluate), None)
+
+
+def _roots_down(p: Sequence, lo, hi, evaluate):
+    """The markers of `isolate_real_roots`, largest root first.
+
+    Bisection on Sturm counts (va, vb: the sign variations at the ends
+    of (a, b)) with no recursion: each halving goes on into the upper
+    half and leaves the lower one on a stack, under a point marker where
+    the midpoint is a root (widened into an (l, r) holding no other
+    root).  So an interval is halved only once a root in it is asked for."""
     p = trim(p)
     if len(p) <= 1:
-        return None
-    a, b, evaluate, va, vb = _isolation_start(p, lo, hi, evaluate)
-    while va != vb:
-        if va - vb == 1:
-            return ("interval", a, b)
-        l, vl, point, r, vr = _split(a, b, evaluate)
-        if vr != vb:
-            a, va = r, vr
-        elif point is not None:
-            return ("point", point)
-        else:
-            b, vb = l, vl
-    return None
-
-
-def _isolation_start(p: Dense, lo, hi, evaluate) -> tuple:
-    """(lo, hi, evaluate, va, vb) to isolate the roots of p (degree >= 1)
-    in (lo, hi), by default +-(Cauchy bound + 1): the evaluation defaults
-    to p's own Sturm chain, va and vb are its sign variations at the ends,
-    and the ends must not be roots."""
+        return
     bound = cauchy_bound(p) + 1 if lo is None or hi is None else None
     lo = Fraction(lo) if lo is not None else -bound
     hi = Fraction(hi) if hi is not None else bound
@@ -288,25 +263,31 @@ def _isolation_start(p: Dense, lo, hi, evaluate) -> tuple:
     (sa, va), (sb, vb) = evaluate(lo), evaluate(hi)
     if not (sa and sb):
         raise ValueError("isolation endpoints must not be roots")
-    return lo, hi, evaluate, va, vb
-
-
-def _split(a: Fraction, b: Fraction, evaluate) -> tuple:
-    """Halve (a, b), which holds two roots or more, at its midpoint:
-    (l, vl, point, r, vr), the halves being (a, l) and (r, b) and vl, vr
-    the sign variations at l and r.  A midpoint that is a root comes back
-    as `point` (else None), widened into an (l, r) holding no other root."""
-    mid = (a + b) / 2
-    sm, vm = evaluate(mid)
-    if sm:
-        return mid, vm, None, mid, vm
-    eps = (b - a) / 4
-    while True:
-        l, r = mid - eps, mid + eps
-        (sl, vl), (sr, vr) = evaluate(l), evaluate(r)
-        if sl and sr and vl - vr == 1:
-            return l, vl, mid, r, vr
-        eps /= 2
+    stack: list[tuple] = [(lo, hi, va, vb)]
+    while stack:
+        part = stack.pop()
+        if len(part) == 2:
+            yield part
+            continue
+        a, b, va, vb = part
+        while va - vb > 1:
+            mid = (a + b) / 2
+            sm, vm = evaluate(mid)
+            if sm:
+                stack.append((a, mid, va, vm))
+                a, va = mid, vm
+                continue
+            eps = (b - a) / 4
+            while True:
+                l, r = mid - eps, mid + eps
+                (sl, vl), (sr, vr) = evaluate(l), evaluate(r)
+                if sl and sr and vl - vr == 1:
+                    break
+                eps /= 2
+            stack += [(a, l, va, vl), ("point", mid)]
+            a, va = r, vr
+        if va - vb == 1:
+            yield ("interval", a, b)
 
 
 def _square_free(chain: list[Dense]) -> Dense:

@@ -114,21 +114,6 @@ def edge_release(H: Hypergraph, e: Iterable[int]) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
-def _top_root_marker(p: list[int], evaluate) -> tuple:
-    """Largest real root of p as ('point', q) or ('interval', a, b), isolated
-    on p's Sturm chain as evaluated by `evaluate` (see
-    `poly.isolate_top_root`).
-
-    Degree-zero p (an edgeless hyperforest) pins the boundary at z = 0.
-    """
-    if poly.degree(p) <= 0:
-        return ("point", Fraction(0))
-    marker = poly.isolate_top_root(p, evaluate=evaluate)
-    if marker is None:
-        raise RuntimeError("matching polynomial lost its real root")
-    return marker
-
-
 def _deflate_rational_root(p: tuple, q: Fraction, sign) -> tuple[tuple, int]:
     """Divide the primitive integer p by d z - n, with q = n/d, as often as
     it divides; returns (quotient, multiplicity).  `sign(p, x)` is the sign
@@ -192,7 +177,10 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
         vanishes, by this call's sign tests."""
         return next(x for x in poly._dyadic_points(a, b) if all(sign(p, x) for p in polys))
 
-    marker = _top_root_marker(p1, functools.partial(evaluate, p1))
+    if len(p1) == 1:  # an edgeless hyperforest pins the boundary at z = 0
+        marker = ("point", Fraction(0))
+    else:
+        marker = poly.isolate_top_root(p1, evaluate=functools.partial(evaluate, p1))
     if marker[0] == "point":
         z1 = marker[1]
         witness["boundary"] = [str(z1), str(z1)]

@@ -1,9 +1,13 @@
 """Reference polynomial routines for the tests: plain Horner evaluation
-over ints or Fractions, against which the integer sign kernel is checked,
-and the first non-root among `_dyadic_points` by fresh sign tests, which
-`transforms._dominates_from` computes through its own sign memo."""
+over ints or Fractions, against which the integer sign kernel is checked;
+the first non-root among `_dyadic_points` by fresh sign tests, which
+`transforms._dominates_from` computes through its own sign memo; and root
+isolation written as two routines, a left-first recursion for every root
+and a descent into the half that holds the largest, against which the
+one lazy bisection of `polynomials` is checked."""
 
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from hypertree_spectra import polynomials as poly
@@ -20,3 +24,79 @@ def evaluate(p: Sequence, x):
 def pick_nonroot(polys: list[Sequence], a: Fraction, b: Fraction) -> Fraction:
     """The first of `poly._dyadic_points(a, b)` where none of the polynomials vanish."""
     return next(x for x in poly._dyadic_points(a, b) if all(poly.sign_at(p, x) != 0 for p in polys))
+
+
+def isolate_real_roots(p: Sequence, lo=None, hi=None, evaluate=None) -> list[tuple]:
+    """Markers of the roots of p in (lo, hi) in increasing order, by
+    left-first recursion on the bisection tree."""
+    p = poly.trim(p)
+    if len(p) <= 1:
+        return []
+    out: list[tuple] = []
+
+    def rec(a: Fraction, b: Fraction, va: int, vb: int) -> None:
+        if va == vb:
+            return
+        if va - vb == 1:
+            out.append(("interval", a, b))
+            return
+        l, vl, point, r, vr = _split(a, b, evaluate)
+        rec(a, l, va, vl)
+        if point is not None:
+            out.append(("point", point))
+        rec(r, b, vr, vb)
+
+    lo, hi, evaluate, va, vb = _isolation_start(p, lo, hi, evaluate)
+    rec(lo, hi, va, vb)
+    return out
+
+
+def isolate_top_root(p: Sequence, lo=None, hi=None, evaluate=None) -> tuple | None:
+    """The last marker of `isolate_real_roots`, or None, by descending only
+    into the half that holds the largest root."""
+    p = poly.trim(p)
+    if len(p) <= 1:
+        return None
+    a, b, evaluate, va, vb = _isolation_start(p, lo, hi, evaluate)
+    while va != vb:
+        if va - vb == 1:
+            return ("interval", a, b)
+        l, vl, point, r, vr = _split(a, b, evaluate)
+        if vr != vb:
+            a, va = r, vr
+        elif point is not None:
+            return ("point", point)
+        else:
+            b, vb = l, vl
+    return None
+
+
+def _isolation_start(p, lo, hi, evaluate) -> tuple:
+    """(lo, hi, evaluate, va, vb): the ends, by default +-(Cauchy bound + 1),
+    the evaluation, by default on p's Sturm chain, and the sign variations
+    at the ends, which must not be roots."""
+    bound = poly.cauchy_bound(p) + 1 if lo is None or hi is None else None
+    lo = Fraction(lo) if lo is not None else -bound
+    hi = Fraction(hi) if hi is not None else bound
+    evaluate = evaluate or partial(poly._variations, poly.sturm_chain(p))
+    (sa, va), (sb, vb) = evaluate(lo), evaluate(hi)
+    if not (sa and sb):
+        raise ValueError("isolation endpoints must not be roots")
+    return lo, hi, evaluate, va, vb
+
+
+def _split(a: Fraction, b: Fraction, evaluate) -> tuple:
+    """Halve (a, b) at its midpoint: (l, vl, point, r, vr), the halves being
+    (a, l) and (r, b); a midpoint that is a root comes back as `point`,
+    widened into an (l, r) holding no other root."""
+    mid = (a + b) / 2
+    sm, vm = evaluate(mid)
+    if sm:
+        return mid, vm, None, mid, vm
+    eps = (b - a) / 4
+    while True:
+        l, r = mid - eps, mid + eps
+        (sl, vl), (sr, vr) = evaluate(l), evaluate(r)
+        if sl and sr and vl - vr == 1:
+            return l, vl, mid, r, vr
+        eps /= 2

@@ -20,7 +20,7 @@ from hypertree_spectra import (
     validate,
 )
 from hypertree_spectra import enumeration, hypergraph
-from hypertree_spectra.enumeration import NAIVE_FILTER_CELLS, _classes
+from hypertree_spectra.enumeration import _classes
 
 TREE_COUNTS = [1, 1, 2, 3, 6, 11, 23]  # unlabeled trees with m = 1..7 edges
 
@@ -184,11 +184,6 @@ def test_labeled_count_rejects_small_edges():
     for r in (1, 0):
         with pytest.raises(ValueError, match="edge size must be at least 2"):
             labeled_hypertree_count(2, r)
-
-
-def test_naive_filter_equivalence():
-    for m, r in sorted(NAIVE_FILTER_CELLS):
-        assert naive_filter_class_count(m, r) == len(enumerate_hypertrees(m, r)), (m, r)
 
 
 def test_naive_filter_guard():

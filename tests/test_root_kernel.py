@@ -2,14 +2,16 @@
 
 `sign_at` against `evaluate` over Fractions, sign bisection in
 `refine_isolating` against bisection on Sturm counts, `isolate_top_root`
-against the last marker of `isolate_real_roots`, and the doubles handed
-out by `_nearest_top_root` (behind polyroot and both closed-form bounds)
-against plain exact bisection, with its final brackets checked by exact
-Sturm counts around them.
+against the last marker of `isolate_real_roots`, both against the two
+bisection routines of `reference_poly` in markers and in the points they
+evaluate, and the doubles handed out by `_nearest_top_root` (behind
+polyroot and both closed-form bounds) against plain exact bisection,
+with its final brackets checked by exact Sturm counts around them.
 """
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from hypertree_spectra.constructions import _cleared_bound_poly
 from hypertree_spectra.enumeration import max_edges_guard
 
 from conftest import path_graph
+import reference_poly
 from reference_poly import evaluate
 
 
@@ -298,6 +301,59 @@ def test_isolate_top_root_on_every_class():
         p = _z_poly(H)
         markers = poly.isolate_real_roots(p)
         assert poly.isolate_top_root(p) == (markers[-1] if markers else None), H.edges
+
+
+def _recording(p):
+    """An evaluation on p's Sturm chain, and the list of the points it was
+    asked at, repeats included."""
+    chain, points = poly.sturm_chain(p), []
+
+    def evaluate_at(x):
+        points.append(x)
+        return poly._variations(chain, x)
+
+    return evaluate_at, points
+
+
+def test_isolation_matches_reference_bisections():
+    """Same markers, and the same evaluation points counted with
+    multiplicity, as the recursive and the descending routine, on every
+    class polynomial and on random ones with repeated, dyadic and
+    non-dyadic rational roots, with and without given ends."""
+    rng = random.Random(15)
+    cases = [(_z_poly(H), (None, None)) for H in _guarded_classes()]
+    randoms = 0
+    while randoms < 600:
+        p = _planted_poly(rng)
+        ends = (None, None)
+        if randoms % 2:
+            ends = tuple(sorted(Fraction(rng.randint(-400, 400), rng.randint(1, 40)) for _ in range(2)))
+            if ends[0] == ends[1] or not (poly.sign_at(p, ends[0]) and poly.sign_at(p, ends[1])):
+                continue
+        cases.append((p, ends))
+        randoms += 1
+    pairs = (
+        (poly.isolate_real_roots, reference_poly.isolate_real_roots),
+        (poly.isolate_top_root, reference_poly.isolate_top_root),
+    )
+    for p, ends in cases:
+        for isolate, reference in pairs:
+            (ev, points), (ref_ev, ref_points) = _recording(p), _recording(p)
+            assert isolate(p, *ends, evaluate=ev) == reference(p, *ends, evaluate=ref_ev), (p, ends)
+            assert Counter(points) == Counter(ref_points), (p, ends)
+
+
+def test_isolation_of_roots_closer_than_the_recursion_limit():
+    """Roots 2^-1200 apart take some 1200 nested halvings to separate."""
+    E = 2**1200
+    p = poly.mul([-3 * E, E], [-(3 * E + 1), E])
+    markers = poly.isolate_real_roots(p)
+    assert [m[0] for m in markers] == ["interval", "interval"]
+    (_, a1, b1), (_, a2, b2) = markers
+    assert b1 <= a2
+    chain = poly.sturm_chain(p)
+    assert poly.count_real_roots(chain, a1, b1) == 1 == poly.count_real_roots(chain, a2, b2)
+    assert poly.isolate_top_root(p) == markers[1]
 
 
 def _plain_nearest(p, lo=None, hi=None):
