@@ -4,8 +4,8 @@ Enumerates every isomorphism class of r-uniform hypertrees in the
 default range (r=2 up to 8 edges, r=3 up to 6, r=4 up to 5), filters by
 matching number, and confirms for every feasible (m, k, r) that the
 maximum-spectral-radius class is unique, equals the loaded star
-A(m, k, r), and matches the closed-form bound to 1e-8.  Reports land in
-demos/out/.
+A(m, k, r), and matches the closed-form bound, decided exactly on
+rational brackets with no float tolerance.  Reports land in demos/out/.
 """
 
 import pathlib

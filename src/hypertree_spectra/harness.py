@@ -203,9 +203,11 @@ class SuiteConfig:
             return cls.from_json_dict(json.load(fh))
 
     def all_triples(self) -> list[tuple[int, int, int]]:
+        """Every triple to run; a range above the enumeration guard raises ValueError."""
         out = set(tuple(t) for t in self.triples)
         for r, m_max in self.ranges:
-            m_max = min(m_max, max_edges_guard(r))
+            if m_max > (guard := max_edges_guard(r)):
+                raise ValueError(f"range m_max={m_max} exceeds the enumeration guard m <= {guard} for r={r}")
             for m in range(1, m_max + 1):
                 for k in range(1, m + 1):
                     out.add((m, k, r))

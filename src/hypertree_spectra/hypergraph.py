@@ -8,16 +8,17 @@ size and pairwise-intersection violations are surfaced by `validate`,
 which reports findings instead of raising.
 
 Acyclicity is decided on the bipartite vertex-edge incidence graph: a
-linear hypergraph is acyclic exactly when that graph is a forest.  On
-hyperforests one iterative walk of the incidence forest, rooting each
-incidence tree at its center and visiting children before parents,
+linear hypergraph is acyclic exactly when that graph is a forest.  One
+pass peeling the incidence forest's leaves in rounds roots each incidence
+tree at its center, the last node peeled, and lists parents first; it
 drives both the matching-count DP in `matching` and one AHU pass,
 `_forest_code`, which gives everything read off the forest's shape: the
 canonical code (and with it isomorphism tests), the order of the
 automorphism group, and the vertex orbits.  The center is unique: every
 edge holds at least two vertices, so every leaf of an incidence tree is
 a vertex node, any two leaves lie at even distance in the bipartite
-incidence graph, and the diameter is even.
+incidence graph, and the diameter is even.  A cycle is never peeled, so
+the same pass tells `_forest_code` that its input is cyclic.
 All operations are pure functions over immutable values.
 """
 
@@ -271,32 +272,6 @@ def connected_components(H: Hypergraph) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _tree_center(adj: list[list[int]], nodes: list[int]) -> int:
-    """Center node of an incidence tree by iterative leaf removal.
-
-    Every edge holds at least two vertices, so every leaf of an incidence
-    tree is a vertex node.  Any two vertex nodes lie at even distance in
-    the bipartite incidence graph, so the diameter is even and the center
-    is unique.  Only an edge with a single vertex (non-uniform input) can
-    leave two adjacent centers; the edge-side one is then returned: its
-    code sorts first ("e(" < "v("), and every automorphism fixes it since
-    the two centers differ in kind.
-    """
-    deg = {x: len(adj[x]) for x in nodes}
-    layer = [x for x in nodes if deg[x] <= 1]
-    remaining = len(nodes)
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for x in layer:
-            for y in adj[x]:
-                deg[y] -= 1
-                if deg[y] == 1:
-                    nxt.append(y)
-        layer = nxt
-    return max(layer)
-
-
 def _merge(parts: list[tuple[str, int]]) -> tuple[str, int]:
     """Sorted concatenation of sibling codes and the order of their automorphism group.
 
@@ -319,43 +294,47 @@ def _merge(parts: list[tuple[str, int]]) -> tuple[str, int]:
 def _incidence_walk(H: Hypergraph) -> tuple[list[int], list[int]]:
     """Nodes of the incidence forest, parents first, and the parent of each.
 
-    Nodes 0..n-1 are vertices, n..n+m-1 edges.  Each incidence tree is
-    rooted at its center (parent -1) and listed in BFS order, so
-    reversed(order) visits children before parents.  Iterative, so no
-    depth of input reaches the call stack.  Acyclic input only.
+    Nodes 0..n-1 are vertices, n..n+m-1 edges.  One pass peels leaves in
+    rounds, each round in id order, and gives each peeled node the one
+    neighbour not yet peeled as its parent; the reversed peel order lists
+    parents first.  The last node peeled in each incidence tree is its
+    center and root (parent -1).  Where a one-vertex edge leaves two
+    adjacent centers, the vertex peels first and the edge-side one stays
+    the root: its code sorts first ("e(" < "v("), and every automorphism
+    fixes it since the two centers differ in kind.  Nodes on a cycle are
+    never peeled, so on cyclic input `order` is shorter than n + m.
     """
-    adj: list[list[int]] = [[] for _ in range(H.n + H.m)]
-    for j, e in enumerate(H.edges):
+    size = H.n + H.m
+    # count and sum of each node's neighbours not yet peeled: a leaf's link is its one neighbour
+    deg, link, parent = [0] * size, [0] * size, [-1] * size
+    for j, e in enumerate(H.edges, H.n):
+        deg[j] = len(e)
+        link[j] = sum(e)
         for v in e:
-            adj[v].append(H.n + j)
-            adj[H.n + j].append(v)
-    seen = [False] * len(adj)
-    parent = [-1] * len(adj)
+            deg[v] += 1
+            link[v] += j
     order: list[int] = []
-    for start in range(H.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        nodes = [start]
-        for x in nodes:
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    nodes.append(y)
-        tree = [_tree_center(adj, nodes)]
-        for x in tree:
-            for y in adj[x]:
-                if y != parent[x]:
-                    parent[y] = x
-                    tree.append(y)
-        order += tree
+    layer = [x for x, d in enumerate(deg) if d <= 1]
+    while layer:
+        layer.sort()
+        order += layer
+        leaves = []
+        for x in layer:
+            if deg[x]:
+                p = parent[x] = link[x]
+                link[p] -= x
+                deg[p] -= 1
+                if deg[p] == 1:
+                    leaves.append(p)
+        layer = leaves
+    order.reverse()
     return order, parent
 
 
 def _forest_code(H: Hypergraph) -> tuple[CanonicalCode, int, list[int]]:
     """Canonical code, automorphism-group order and vertex orbit ids of a
-    hyperforest, all from one AHU pass over its incidence forest.  Acyclic
-    input only.
+    hyperforest, all from one AHU pass over its incidence forest.  Cyclic
+    input raises ValueError: the walk leaves the nodes of a cycle unpeeled.
 
     Each incidence tree is encoded children before parents from its center;
     the component codes are sorted and concatenated behind an `r{r}:`
@@ -368,6 +347,8 @@ def _forest_code(H: Hypergraph) -> tuple[CanonicalCode, int, list[int]]:
     equal codes interchange.
     """
     order, parent = _incidence_walk(H)
+    if len(order) < len(parent):
+        raise ValueError("canonical code and automorphism count are defined for hyperforests only")
     codes = [""] * len(parent)
     # encoded subtrees awaiting their parent; tree roots wait under -1
     below: dict[int, list[tuple[str, int]]] = {}
@@ -386,10 +367,8 @@ def _forest_code(H: Hypergraph) -> tuple[CanonicalCode, int, list[int]]:
 
 def canonical_code(H: Hypergraph) -> CanonicalCode:
     """Canonical byte code of a hyperforest (`_forest_code`): two
-    hyperforests get equal codes iff they are isomorphic.  Cyclic input is
-    rejected."""
-    if not is_acyclic(H):
-        raise ValueError("canonical code is defined for hyperforests only")
+    hyperforests get equal codes iff they are isomorphic.  Cyclic input
+    raises ValueError."""
     return _forest_code(H)[0]
 
 
@@ -402,9 +381,8 @@ def is_isomorphic(G: Hypergraph, H: Hypergraph) -> bool:
 
 def automorphism_count(H: Hypergraph) -> int:
     """Order of the automorphism group of a hyperforest, from the same
-    pass as its canonical code (`_forest_code`).  Cyclic input is rejected."""
-    if not is_acyclic(H):
-        raise ValueError("automorphism count implemented for hyperforests only")
+    pass as its canonical code (`_forest_code`).  Cyclic input raises
+    ValueError."""
     return _forest_code(H)[1]
 
 

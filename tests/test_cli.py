@@ -215,6 +215,17 @@ def test_malformed_file_exit_code(capsys, tmp_path, argv, data, field):
     assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
 
 
+def test_suite_range_above_guard_exit_code(capsys, tmp_path):
+    """A range past the enumeration guard is a usage error before any triple
+    runs, as `verify` past the guard is, not a sweep cut short in silence."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"ranges": [{"r": 5, "m_max": 7}]}))
+    assert main(["suite", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: range m_max=7 exceeds the enumeration guard m <= 5 for r=5"]
+
+
 def test_usage_error_exit_code():
     assert main(["chain", "--from", "3,2,1", "--to", "2,2,2"]) == 2
 

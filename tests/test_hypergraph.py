@@ -27,7 +27,8 @@ from hypertree_spectra import (
     to_json,
     validate,
 )
-from hypertree_spectra.hypergraph import _forest_code
+from hypertree_spectra.enumeration import max_edges_guard
+from hypertree_spectra.hypergraph import _forest_code, _incidence_walk
 
 from conftest import path_graph
 
@@ -209,8 +210,15 @@ def test_canonical_code_separates():
 
 def test_canonical_code_rejects_cycles():
     triangle = Hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
-    with pytest.raises(ValueError):
-        canonical_code(triangle)
+    # leaf peeling strips the pendent trees and leaves the cycle of three 3-edges
+    hung = Hypergraph(3, 10, [(0, 1, 2), (2, 3, 4), (4, 5, 0), (1, 6, 7), (6, 8, 9)])
+    shared_pair = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])
+    forest = disjoint_union(disjoint_union(PATH3_R3, hung), single_edge(3))
+    for H in (triangle, hung, shared_pair, forest):
+        with pytest.raises(ValueError):
+            canonical_code(H)
+        with pytest.raises(ValueError):
+            automorphism_count(H)
 
 
 def test_is_isomorphic():
@@ -297,6 +305,64 @@ def test_canonical_code_one_vertex_edge():
     assert canonical_code(H) == b"r3:e(v()v()v(e()))v()"
     assert automorphism_count(H) == 2
     assert canonical_code(Hypergraph(3, 1, [(0,)])) == b"r3:e(v())"
+
+
+def _brute_force_centers(H):
+    """The center of each incidence tree by eccentricity (BFS distances),
+    the edge node where two tie."""
+    adjacent = [[] for _ in range(H.n + H.m)]
+    for j, e in enumerate(H.edges):
+        for v in e:
+            adjacent[v].append(H.n + j)
+            adjacent[H.n + j].append(v)
+
+    def distances(source):
+        dist = {source: 0}
+        queue = [source]
+        for x in queue:
+            for y in adjacent[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        return dist
+
+    centers, seen = set(), set()
+    for source in range(H.n + H.m):
+        if source not in seen:
+            tree = distances(source)
+            seen.update(tree)
+            eccentricity = {x: max(distances(x).values()) for x in tree}
+            least = min(eccentricity.values())
+            centers.add(max(x for x in tree if eccentricity[x] == least))  # edge ids follow vertex ids
+    return centers
+
+
+def test_incidence_walk_roots_each_tree_at_its_center():
+    """The walk lists every node once, each after its parent, which is an
+    incidence neighbour, and roots each incidence tree at its center."""
+    cases = [H for r in range(2, 7) for m in range(1, max_edges_guard(r) + 1) for H in enumerate_hypertrees(m, r)]
+    P3 = Hypergraph(2, 3, [(0, 1), (1, 2)])
+    star = hyperstar(3, 2)
+    cases += [
+        disjoint_union(disjoint_union(P3, P3), Hypergraph(2, 1, ())),
+        disjoint_union(disjoint_union(star, Hypergraph(2, 2, ())), star),
+        disjoint_union(disjoint_union(P3, star), P3),
+        Hypergraph(3, 8, [(0, 1, 2), (4, 5, 6)]),
+        Hypergraph(3, 7, [(0, 1, 2), (2, 3, 4)]),
+        Hypergraph(4, 3, ()),
+        Hypergraph(3, 4, [(0,), (0, 1, 2)]),
+        Hypergraph(3, 1, [(0,)]),
+    ]
+    for H in cases:
+        order, parent = _incidence_walk(H)
+        assert sorted(order) == list(range(H.n + H.m)), H.edges
+        position = {x: i for i, x in enumerate(order)}
+        for x, p in enumerate(parent):
+            if p >= 0:
+                vertex, edge = sorted((x, p))
+                assert edge >= H.n and vertex in H.edges[edge - H.n], H.edges
+                assert position[p] < position[x], H.edges
+        assert {x for x, p in enumerate(parent) if p < 0} == _brute_force_centers(H), H.edges
 
 
 def test_canonical_code_deep_path():
