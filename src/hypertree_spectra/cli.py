@@ -48,6 +48,7 @@ def _cmd_rho(args) -> int:
             "rho": power.rho,
             "residual": power.residual,
             "iterations": power.iterations,
+            "bracket": list(power.certificate),
         }
     if args.method in ("poly", "both"):
         root = spectral_radius_polyroot(H)

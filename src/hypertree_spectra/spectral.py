@@ -12,10 +12,17 @@ Route one is shifted nonnegative-tensor power iteration on B = A + I
 (diagonal shift sigma = 1 forces convergence on bipartite-flavored
 structures), with the Collatz-Wielandt bracket
 min_i (Bx)_i / x_i^(r-1) <= rho(B) <= max_i (...) driving the stopping
-rule; the bracket it stops on is its certificate.  Each connected
-component gets one edge-index array and one set of product buffers,
-built before its first step; a step fills the buffers in place and
-scatters them onto the vertices with one `np.bincount`.
+rule.  The bracket holds rho(B) at every positive x, so each step may
+take the type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49,
+2011) of the map g(x) = normalise((B x)^(1/(r-1))) over its last `DEPTH`
+differences, if finite and positive, else the plain step g(x) with the
+history cleared; the certificate is the intersection of every bracket.
+Each connected component gets one edge-index array and one set of
+product buffers, built before its first step; a step fills the buffers
+in place and scatters them onto the vertices with one `np.bincount`.
+The step calls no BLAS or LAPACK, whose first call maps several hundred
+KB: the mixing's Gram system, at most `DEPTH` unknowns, is solved in
+Python floats.
 Route two, for hyperforests, reads rho off the matching polynomial:
 substituting z = x^r turns phi into x^(n-nu*r) p(z), and rho is the r-th
 root of the largest real root of p.  That root is read by
@@ -41,10 +48,12 @@ from .matching import MatchingProfile, _counts, _require_uniform_linear
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
+DEPTH = 5  # differences kept by the Anderson mixing of the power route
 
 
 class PowerIterationError(RuntimeError):
-    """Raised when the bracket fails to close; carries the last bracket."""
+    """Raised when the bracket fails to close; carries the intersection of
+    the brackets of every step, which holds rho."""
 
     def __init__(self, message: str, bracket: tuple[float, float], iterations: int):
         super().__init__(message)
@@ -59,7 +68,8 @@ class SpectralResult:
     (polyroot route, 0 for a rational rho^r met by isolation).
     `certificate`: for polyroot, the final rational bracket of rho^r
     (`polynomials._nearest_top_root`), if H has an edge; for power, the
-    final float Collatz-Wielandt bracket (lo, hi) of rho."""
+    intersection (lo, hi) of the float Collatz-Wielandt brackets of rho
+    at every step (rho is the midpoint of the last one)."""
 
     rho: float
     method: str
@@ -117,27 +127,74 @@ def residual(H: Hypergraph, lam: float, x) -> float:
     return float(np.max(np.abs(_adjacency(H)(x) - lam * x ** (H.r - 1))))
 
 
+def _solve(a: list, b: list) -> Optional[list]:
+    """The solution of a x = b for a symmetric positive semidefinite a, by
+    Gaussian elimination without pivoting in Python floats, or None at a
+    pivot that is not positive (a singular to rounding)."""
+    n = len(b)
+    rows = [row[:n] + [v] for row, v in zip(a, b)]
+    for k, pivot in enumerate(rows):
+        if not pivot[k] > 0:
+            return None
+        for row in rows[k + 1 :]:
+            f = row[k] / pivot[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= f * pivot[j]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        t = row[n]
+        for j in range(k + 1, n):
+            t -= row[j] * x[j]
+        x[k] = t / row[k]
+    return x
+
+
 def _power_connected(H: Hypergraph, tol: float, max_iter: int) -> tuple:
-    """(rho, x, iterations, final bracket of rho) for connected H."""
+    """(rho, x, iterations, intersection of every bracket of rho) for
+    connected H."""
     n, r = H.n, H.r
     x = np.full(n, n ** (-1.0 / r))
     if H.m == 0:
         return 0.0, x, 0, (0.0, 0.0)
     adjacency = _adjacency(H)
     shift = 1.0
+    low, high = -np.inf, np.inf
+    dg, df = np.empty((DEPTH, n)), np.empty((DEPTH, n))
+    gram = [[0.0] * DEPTH for _ in range(DEPTH)]
+    kept = 0  # differences pushed since the history was last cleared
     for it in range(1, max_iter + 1):
         x_r1 = x ** (r - 1)
         y = adjacency(x) + x_r1
         ratios = y / x_r1
         lo = float(ratios.min())
         hi = float(ratios.max())
+        low, high = max(low, lo), min(high, hi)
         if hi - lo <= tol:
-            return (lo + hi) / 2 - shift, x, it, (lo - shift, hi - shift)
-        x = y ** (1.0 / (r - 1))
-        x = x / ((x**r).sum()) ** (1.0 / r)
+            return (lo + hi) / 2 - shift, x / ((x**r).sum()) ** (1.0 / r), it, (low - shift, high - shift)
+        g = y ** (1.0 / (r - 1))
+        g /= ((g**r).sum()) ** (1.0 / r)
+        f = g - x
+        if it > 1:
+            s = kept % DEPTH
+            np.subtract(f, f_prev, out=df[s])
+            np.subtract(g, g_prev, out=dg[s])
+            kept += 1
+            k = min(kept, DEPTH)
+            for j, v in enumerate(np.einsum("ij,j->i", df[:k], df[s]).tolist()):
+                gram[s][j] = gram[j][s] = v
+        f_prev, g_prev = f, g
+        x = g
+        gamma = _solve(gram[:k], np.einsum("ij,j->i", df[:k], f).tolist()) if kept else None
+        if gamma is not None:
+            mixed = g - np.einsum("i,ij->j", gamma, dg[:k])
+            if mixed.min() > 0 and mixed.max() < np.inf:  # false on NaN
+                x = mixed
+        if x is g:
+            kept = 0
     raise PowerIterationError(
         f"bracket width {hi - lo:.3e} above tol {tol:.3e} after {max_iter} iterations",
-        (lo - shift, hi - shift),
+        (low - shift, high - shift),
         max_iter,
     )
 
@@ -152,7 +209,7 @@ def spectral_radius_power(
 
     rho is the largest component rho, that component's eigenvector is
     embedded (zeros elsewhere keep the global residual exact), and
-    `certificate` is (max lo, max hi) over the components' final
+    `certificate` is (max lo, max hi) over the components' intersected
     brackets, so it holds rho.
     """
     if not tol > 0:

@@ -85,6 +85,15 @@ def test_rho_single_methods(capsys, tree_file):
     assert "power" not in json.loads(out)
 
 
+def test_rho_power_bracket(capsys, tree_file):
+    """The power block carries the certificate: a bracket holding rho."""
+    for method in ("power", "both"):
+        code, out = run(capsys, "rho", tree_file, "--method", method, "--tol", "1e-8")
+        assert code == 0
+        lo, hi = json.loads(out)["power"]["bracket"]
+        assert lo <= (1 + 5**0.5) / 2 <= hi and hi - lo <= 1e-8
+
+
 def test_rho_nan_tol_exit(capsys, tree_file):
     """A NaN tolerance is a usage error, not a run of max_iter steps."""
     assert main(["rho", tree_file, "--method", "power", "--tol", "nan"]) == 2
