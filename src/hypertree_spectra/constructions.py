@@ -92,11 +92,7 @@ def hyperstar(m: int, r: int) -> Hypergraph:
         raise ValueError("a hyperstar needs at least one edge")
     if r < 2:
         raise ValueError("edge size must be at least 2")
-    edges = []
-    for i in range(m):
-        base = 1 + i * (r - 1)
-        edges.append((0, *range(base, base + r - 1)))
-    return Hypergraph(r, m * (r - 1) + 1, tuple(edges))
+    return _with_pendents(Hypergraph(r, 1), (0,) * m)
 
 
 def build_S(pendants: Union[CompositionVector, Sequence[int]], r: int) -> Hypergraph:
@@ -104,7 +100,8 @@ def build_S(pendants: Union[CompositionVector, Sequence[int]], r: int) -> Hyperg
 
     Pendants are attached at the lowest-id core vertices of their star
     edge; any choice of distinct core vertices gives an isomorphic result,
-    so the deterministic pick only pins the labeling.
+    so the deterministic pick only pins the labeling.  One pendant pass
+    grows the b star edges at vertex 0, then the pendants on their cores.
     """
     a = _entry_list(pendants)
     if not a:
@@ -114,7 +111,7 @@ def build_S(pendants: Union[CompositionVector, Sequence[int]], r: int) -> Hyperg
     if any(x > r - 1 for x in a):
         raise ValueError(f"an edge has only {r - 1} core vertices for pendants")
     cores = [1 + i * (r - 1) + t for i, count in enumerate(a) for t in range(count)]
-    return _with_pendents(hyperstar(len(a), r), cores)
+    return _with_pendents(Hypergraph(r, 1), [0] * len(a) + cores)
 
 
 def build_Ra(a: int, r: int) -> Hypergraph:
@@ -166,9 +163,7 @@ def build_A(m: int, k: int, r: int) -> Hypergraph:
     p = extremal_params(m, k, r)
     if not p.feasible:
         raise InfeasibleParameters(f"no hypertree with m={m}, k={k}, r={r}")
-    composition = [r - 1] * p.q + [p.s] + [0] * p.l
-    composition.sort(reverse=True)
-    H = build_S(composition, r)
+    H = build_S([r - 1] * p.q + [p.s] + [0] * p.l, r)  # non-increasing: s < r - 1
     assert H.m == m, "edge count drifted"
     return H
 

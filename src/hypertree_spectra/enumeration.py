@@ -94,13 +94,11 @@ def _classes(m: int, r: int) -> dict[CanonicalCode, tuple[Hypergraph, list[int]]
 
 def random_hypertree(m: int, r: int, rng: random.Random) -> Hypergraph:
     """Random hypertree grown by pendent attachment (any class can occur,
-    but the sampling is not uniform over classes)."""
+    but the sampling is not uniform over classes): each pendent edge goes
+    at a uniform vertex of the n = r, 2r - 1, ... grown so far."""
     if m < 1:
         raise ValueError("need at least one edge")
-    H = single_edge(r)
-    for _ in range(m - 1):
-        H = attach_pendent(H, rng.randrange(H.n))
-    return H
+    return _with_pendents(single_edge(r), [rng.randrange(n) for n in range(r, m * (r - 1) + 1, r - 1)])
 
 
 def random_hyperforest(sizes: Sequence[int], r: int, rng: random.Random) -> Hypergraph:

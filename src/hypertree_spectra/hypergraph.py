@@ -3,9 +3,10 @@
 A hypergraph is stored as a declared edge size r, a vertex count n with
 dense vertex ids 0..n-1, and a normalized tuple of edges (each edge a
 sorted tuple of distinct vertex ids, edges sorted lexicographically).
-Construction rejects duplicate edges and out-of-range vertex ids; edge
-size and pairwise-intersection violations are surfaced by `validate`,
-which reports findings instead of raising.
+Construction rejects non-integer r, n or vertex ids (numpy integers
+pass), duplicate edges and out-of-range vertex ids; edge size and
+pairwise-intersection violations are surfaced by `validate`, which
+reports findings instead of raising.
 
 Acyclicity is decided on the bipartite vertex-edge incidence graph: a
 linear hypergraph is acyclic exactly when that graph is a forest.  One
@@ -27,9 +28,26 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 CanonicalCode = bytes
+
+
+def _integer(x, field: str) -> int:
+    """x as an int (numpy integers too); a float, even 3.0, raises ValueError."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{field} must be an integer, got {x!r}") from None
+
+
+def _edge(e: Iterable[int]) -> tuple[int, ...]:
+    """An edge's distinct vertex ids, sorted, checked as by `_integer`."""
+    try:
+        return tuple(sorted(set(map(index, e))))
+    except TypeError:
+        raise ValueError(f"vertex ids must be integers, got edge {e!r}") from None
 
 
 @dataclass(frozen=True)
@@ -46,22 +64,25 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        if self.r < 2:
-            raise ValueError(f"edge size r must be at least 2, got {self.r}")
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
+        r, n = _integer(self.r, "edge size r"), _integer(self.n, "vertex count n")
+        if r < 2:
+            raise ValueError(f"edge size r must be at least 2, got {r}")
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
         norm = []
         for e in self.edges:
-            t = tuple(sorted({int(v) for v in e}))
+            t = _edge(e)
             if not t:
                 raise ValueError("empty edge")
-            if t[0] < 0 or t[-1] >= self.n:
-                raise ValueError(f"edge {t} has a vertex outside 0..{self.n - 1}")
+            if t[0] < 0 or t[-1] >= n:
+                raise ValueError(f"edge {t} has a vertex outside 0..{n - 1}")
             norm.append(t)
         norm.sort()
         for a, b in zip(norm, norm[1:]):
             if a == b:
                 raise ValueError(f"duplicate edge {a}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
 
     @property
@@ -71,7 +92,7 @@ class Hypergraph:
 
     def edge_tuple(self, e: Iterable[int]) -> tuple[int, ...]:
         """Normalize `e` and check membership."""
-        t = tuple(sorted({int(v) for v in e}))
+        t = _edge(e)
         if t not in self.edges:
             raise ValueError(f"edge {t} not present")
         return t
@@ -107,11 +128,11 @@ def single_edge(r: int) -> Hypergraph:
 def _with_pendents(H: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
     """H plus a pendent edge at each of `vertices` in turn, the i-th on fresh
     ids from n + i(r-1), so a later vertex may be one an earlier edge made."""
-    r1, n, edges = H.r - 1, H.n, H.edges
+    r1, n, grown = H.r - 1, H.n, []
     for v in vertices:
-        edges += ((v, *range(n, n + r1)),)
+        grown.append((v, *range(n, n + r1)))
         n += r1
-    return Hypergraph(H.r, n, edges)
+    return Hypergraph(H.r, n, H.edges + tuple(grown))
 
 
 # ---------------------------------------------------------------------------

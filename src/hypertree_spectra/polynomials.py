@@ -297,16 +297,16 @@ def _square_free(chain: list[Dense]) -> Dense:
     return exact_quotient(chain[0], chain[-1])
 
 
-def refine_isolating(p: Sequence, a: Fraction, b: Fraction, width: Fraction, chain=None) -> tuple:
+def refine_isolating(p: Sequence, a: Fraction, b: Fraction, width: Fraction) -> tuple:
     """Shrink an isolating interval below `width` by sign bisection.
 
-    q = p / gcd(p, p') (gcd: the last element of p's Sturm `chain`) has the
+    q = p / gcd(p, p') (gcd: the last element of p's Sturm chain) has the
     distinct roots of p, all simple, so the root lies left of a midpoint
     exactly when q changes sign there, whatever its multiplicity in p.
     Endpoints are integers A/D, B/D.  May collapse to a ("point", mid)
     marker when the root is rational.
     """
-    q = _square_free(chain or sturm_chain(p))
+    q = _square_free(sturm_chain(p))
     a, b, width = Fraction(a), Fraction(b), Fraction(width)
     D = lcm(a.denominator, b.denominator)
     A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
@@ -365,6 +365,14 @@ def _float_root(q: Dense, a: Fraction, b: Fraction, left: int) -> float | None:
     return x
 
 
+def _ratio(n: int, d: int) -> float:
+    """n / d for d > 0 as the nearest double, or +-inf past the largest one."""
+    try:
+        return n / d
+    except OverflowError:
+        return inf if n > 0 else -inf
+
+
 def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int, tuple] | None:
     """The double nearest the largest real root of p in (lo, hi), the
     number of exact sign tests of the square-free part q after isolation
@@ -381,7 +389,7 @@ def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int, tuple]
     `refine_isolating`) runs until both ends round to the same double.
     Once they round to two adjacent doubles, the sign at the midpoint of
     those doubles decides which is nearer; a root exactly there is
-    rounded half to even.
+    rounded half to even.  An end past the largest double reads as +-inf.
     """
     chain = sturm_chain(p)
     top = isolate_top_root(p, lo, hi, evaluate=partial(_variations, chain))
@@ -414,7 +422,7 @@ def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int, tuple]
             if sign(L, E) == left and sign(R, E) == -left:
                 A, B, D = L, R, E
                 break
-    fa, fb = A / D, B / D  # only the end that moves needs a new division
+    fa, fb = _ratio(A, D), _ratio(B, D)  # only the end that moves needs a new division
     while fa != fb:
         if nextafter(fa, fb) == fb:
             tie = (Fraction(fa) + Fraction(fb)) / 2
@@ -422,7 +430,7 @@ def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int, tuple]
             x = float(tie) if s == 0 else fa if s != left else fb
             return x, tests, (Fraction(A, D), Fraction(B, D))
         mid, A, B, D = A + B, 2 * A, 2 * B, 2 * D
-        s, fm = sign(mid, D), mid / D
+        s, fm = sign(mid, D), _ratio(mid, D)
         if s == 0:
             return fm, tests, (Fraction(mid, D),) * 2
         if s != left:

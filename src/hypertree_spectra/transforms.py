@@ -286,14 +286,10 @@ def compare_order(T1: Hypergraph, T2: Hypergraph) -> OrderRelation:
 
 
 def _as_entries(pi: Vector) -> tuple[int, ...]:
-    if isinstance(pi, CompositionVector):
-        return pi.entries
-    entries = tuple(int(x) for x in pi)
-    if any(x < 0 for x in entries):
-        raise ValueError("entries must be nonnegative")
-    if any(a < b for a, b in zip(entries, entries[1:])):
-        raise ValueError("entries must be non-increasing")
-    return entries
+    if not isinstance(pi, CompositionVector):
+        entries = [int(x) for x in pi]
+        pi = CompositionVector(entries, cap=max(entries, default=0))
+    return pi.entries
 
 
 def _cap_of(pi: Vector, other: Vector) -> int:

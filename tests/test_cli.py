@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hypertree_spectra import Hypergraph, PowerIterationError, hyperstar, save
+from hypertree_spectra import Hypergraph, PowerIterationError, build_Ra, hyperstar, save
 from hypertree_spectra import cli
 from hypertree_spectra.cli import main
 
@@ -92,6 +92,18 @@ def test_rho_power_bracket(capsys, tree_file):
         assert code == 0
         lo, hi = json.loads(out)["power"]["bracket"]
         assert lo <= (1 + 5**0.5) / 2 <= hi and hi - lo <= 1e-8
+
+
+def test_rho_poly_on_a_bound_above_the_largest_double(capsys, tmp_path):
+    """650 disjoint copies of R_1 at r = 3 have p(z) = (z - 2)^650, whose
+    Cauchy bound exceeds 2^1024: the exact halving still ends on rho = 2^(1/3)."""
+    R = build_Ra(1, 3)
+    path = tmp_path / "forest.json"
+    edges = [[v + i * R.n for v in e] for i in range(650) for e in R.edges]
+    path.write_text(json.dumps({"r": 3, "n": 650 * R.n, "edges": edges}))
+    code, out = run(capsys, "rho", str(path), "--method", "poly")
+    assert code == 0
+    assert json.loads(out)["polyroot"]["rho"] == 1.2599210498948732
 
 
 def test_rho_nan_tol_exit(capsys, tree_file):

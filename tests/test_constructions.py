@@ -29,6 +29,7 @@ from hypertree_spectra.enumeration import max_edges_guard
 from sparse_poly import sp_equal, sp_monomial, sp_mul, sp_pow, sp_sub
 
 from conftest import path_graph, perfect_cells, perfect_matching_reference
+import reference_growth
 
 
 def closed_form_Ra(a: int, r: int) -> dict:
@@ -47,6 +48,13 @@ def test_hyperstar_examples():
     assert set(two.edges[0]) & set(two.edges[1]) == {0}
     with pytest.raises(ValueError):
         hyperstar(0, 3)
+
+
+def test_hyperstar_matches_edge_loop():
+    """Same vertex count and edge tuple as the edge-by-edge loop it replaced."""
+    for m in range(1, 41):
+        for r in range(2, 9):
+            assert hyperstar(m, r) == reference_growth.hyperstar(m, r), (m, r)
 
 
 def test_build_S_examples():
@@ -104,7 +112,7 @@ def _append_pendent(edges: list, n: int, v: int, r: int) -> int:
 
 
 def _appended_S(a, r):
-    star = hyperstar(len(a), r)
+    star = reference_growth.hyperstar(len(a), r)
     edges, n = list(star.edges), star.n
     for i, count in enumerate(a):
         for t in range(count):
@@ -197,6 +205,17 @@ def test_build_A_examples():
     assert counts.nu == 3 and A.n == 9
     with pytest.raises(InfeasibleParameters):
         build_A(5, 4, 3)
+
+
+def test_build_A_composition_needs_no_sort():
+    """(r-1)^q, s, 0^l is already non-increasing, since s < r - 1."""
+    for r in range(2, 7):
+        for m in range(1, 13):
+            for k in range(1, m + 1):
+                p = extremal_params(m, k, r)
+                if p.feasible:
+                    composition = [r - 1] * p.q + [p.s] + [0] * p.l
+                    assert build_A(m, k, r) == build_S(sorted(composition, reverse=True), r), (m, k, r)
 
 
 def test_build_A_is_hypertree_with_right_nu():

@@ -1,5 +1,7 @@
 """Isomorphism-free enumeration and its completeness oracles."""
 
+import random
+
 import pytest
 
 from hypertree_spectra import (
@@ -21,6 +23,8 @@ from hypertree_spectra import (
 )
 from hypertree_spectra import enumeration, hypergraph
 from hypertree_spectra.enumeration import _classes
+
+import reference_growth
 
 TREE_COUNTS = [1, 1, 2, 3, 6, 11, 23]  # unlabeled trees with m = 1..7 edges
 
@@ -82,6 +86,15 @@ def test_random_hypertree_is_hypertree(rng):
     for _ in range(20):
         H = random_hypertree(rng.randrange(1, 7), rng.choice([2, 3, 4]), rng)
         assert validate(H).is_hypertree
+
+
+def test_random_hypertree_matches_per_edge_growth():
+    """Every seed gives the edges of the loop that grew one `attach_pendent`
+    call at a time: the same draws, in the same order."""
+    cases = [(m, r, s) for s in range(10) for r in range(2, 7) for m in (1, 2, 17, 200)]
+    for m, r, s in cases + [(1000, 3, 1)]:
+        expected = reference_growth.random_hypertree(m, r, random.Random(s))
+        assert random_hypertree(m, r, random.Random(s)) == expected, (m, r, s)
 
 
 def test_random_growth_needs_an_edge(rng):

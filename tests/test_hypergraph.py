@@ -50,6 +50,28 @@ def test_construction_rejects_duplicates_and_bad_ids():
         Hypergraph(1, 3, [(0,)])
 
 
+def test_construction_rejects_non_integer_fields():
+    """r, n and vertex ids are integers: 3.0 is not cut to 3, nor 0.7 to 0."""
+    with pytest.raises(ValueError, match="edge size r must be an integer"):
+        Hypergraph(3.0, 3, ((0, 1, 2),))
+    with pytest.raises(ValueError, match="vertex count n must be an integer"):
+        Hypergraph(2, 3.5, ((0, 1),))
+    with pytest.raises(ValueError, match="vertex id"):
+        Hypergraph(2, 3, ((0.7, 1),))
+    with pytest.raises(ValueError, match="vertex id"):
+        single_edge(3).edge_tuple((0, 1, 2.0))
+
+
+def test_numpy_integers_are_plain_ints():
+    np = pytest.importorskip("numpy")
+    H = Hypergraph(np.int64(3), np.int32(5), [np.array([0, 1, 2]), (np.int64(4), 3, 0)])
+    plain = build_Ra(1, 3)
+    assert H == plain and type(H.r) is int and type(H.n) is int
+    assert all(type(v) is int for e in H.edges for v in e)
+    assert canonical_code(H) == canonical_code(plain)
+    assert H.edge_tuple(np.array([0, 4, 3])) == (0, 3, 4)
+
+
 def test_validate_single_edge():
     report = validate(single_edge(3))
     assert report.uniform and report.linear and report.connected and report.acyclic

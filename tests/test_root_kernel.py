@@ -424,6 +424,15 @@ def test_seed_skipped_when_floats_overflow():
         _assert_bracket(p, top)
 
 
+def test_bracket_ends_past_the_largest_double():
+    """(z - 1)(z^2 + 2^1100) isolates its root in +-(2^1100 + 2): the
+    ends read as +-inf and the halving goes on to the root."""
+    p = [-(2**1100), 2**1100, -1, 1]
+    top = poly._nearest_top_root(p)
+    assert top[0] == 1.0
+    _assert_bracket(p, top)
+
+
 def _shifted_guess(monkeypatch, shift):
     """Make every float guess `shift` ulps off."""
     guess = poly._float_root
