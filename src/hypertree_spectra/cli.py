@@ -103,6 +103,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.at_least and args.matching is None:
+        raise ValueError("--at-least needs --matching K")
     if args.matching is None:
         rows = ((code, H, len(_counts(H)) - 1, {}) for code, (H, _) in _classes(args.m, args.r).items())
     else:

@@ -34,6 +34,7 @@ from .hypergraph import (
     _with_pendents,
     automorphism_count,
     canonical_code,
+    disjoint_union,
     single_edge,
 )
 from .matching import MatchingProfile, _counts
@@ -102,13 +103,8 @@ def random_hypertree(m: int, r: int, rng: random.Random) -> Hypergraph:
 
 
 def random_hyperforest(sizes: Sequence[int], r: int, rng: random.Random) -> Hypergraph:
-    """Disjoint union of random hypertrees with the given edge counts."""
-    from .hypergraph import disjoint_union
-
-    out = Hypergraph(r, 0, ())
-    for m in sizes:
-        out = disjoint_union(out, random_hypertree(m, r, rng))
-    return out
+    """Disjoint union of random hypertrees with the given edge counts, drawn in turn."""
+    return disjoint_union(Hypergraph(r, 0, ()), *(random_hypertree(m, r, rng) for m in sizes))
 
 
 @dataclass

@@ -203,7 +203,9 @@ class SuiteConfig:
             return cls.from_json_dict(json.load(fh))
 
     def all_triples(self) -> list[tuple[int, int, int]]:
-        """Every triple to run; a range above the enumeration guard raises ValueError."""
+        """Every triple to run, all checked before any runs: a range above the
+        enumeration guard, a triple `extremal_params` rejects and a feasible
+        triple above the guard raise ValueError."""
         out = set(tuple(t) for t in self.triples)
         for r, m_max in self.ranges:
             if m_max > (guard := max_edges_guard(r)):
@@ -211,7 +213,11 @@ class SuiteConfig:
             for m in range(1, m_max + 1):
                 for k in range(1, m + 1):
                     out.add((m, k, r))
-        return sorted(out, key=lambda t: (t[2], t[0], t[1]))
+        triples = sorted(out, key=lambda t: (t[2], t[0], t[1]))
+        for m, k, r in triples:
+            if extremal_params(m, k, r).feasible and m > max_edges_guard(r):
+                raise ValueError(f"m={m} exceeds the enumeration guard for r={r}")
+        return triples
 
 
 def default_config() -> SuiteConfig:

@@ -271,12 +271,16 @@ def restrict(H: Hypergraph, vertices: Iterable[int]) -> DeletionResult:
     return delete_vertices(H, (v for v in range(H.n) if v not in keep))
 
 
-def disjoint_union(G: Hypergraph, H: Hypergraph) -> Hypergraph:
-    """Disjoint union; vertex ids of H are shifted by G.n."""
-    if G.r != H.r:
-        raise ValueError(f"edge sizes differ: {G.r} vs {H.r}")
-    shifted = tuple(tuple(v + G.n for v in e) for e in H.edges)
-    return Hypergraph(G.r, G.n + H.n, G.edges + shifted)
+def disjoint_union(G: Hypergraph, *rest: Hypergraph) -> Hypergraph:
+    """Disjoint union of G and the rest, in one pass: each part's vertex
+    ids are shifted by the vertex count of the parts before it."""
+    n, edges = G.n, list(G.edges)
+    for H in rest:
+        if G.r != H.r:
+            raise ValueError(f"edge sizes differ: {G.r} vs {H.r}")
+        edges += (tuple(v + n for v in e) for e in H.edges)
+        n += H.n
+    return Hypergraph(G.r, n, tuple(edges))
 
 
 def connected_components(H: Hypergraph) -> list[list[int]]:

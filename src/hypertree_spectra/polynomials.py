@@ -1,8 +1,9 @@
 """Exact univariate polynomial arithmetic and real-root machinery.
 
-Dense polynomials are lists of coefficients in ascending power order
-([c0, c1, c2] means c0 + c1*x + c2*x**2) over Python ints or Fractions,
-so all arithmetic is exact.
+Dense polynomials are lists of integer coefficients in ascending power
+order ([c0, c1, c2] means c0 + c1*x + c2*x**2), so all arithmetic is
+exact.  One primitive remainder sequence gives the Sturm chain and the
+gcd; rationals appear only as points (signs, interval ends).
 
 Real roots are handled in integers: `sign_at` takes signs at rationals
 by homogeneous Horner, Sturm chains have integer coefficients, isolation
@@ -110,11 +111,9 @@ def exact_quotient(p: Sequence, q: Sequence) -> Dense:
 
 
 def _content_free(p: Sequence) -> Dense:
-    """The positive multiple of p with coprime integer coefficients."""
-    denom = lcm(*(c.denominator for c in p if isinstance(c, Fraction)))
-    ints = [int(c * denom) for c in p]
-    g = gcd(*ints)
-    return [c // g for c in ints]
+    """The positive multiple of the integer polynomial p with coprime coefficients."""
+    g = gcd(*p)
+    return [c // g for c in p]
 
 
 def _prem(a: Dense, b: Dense) -> Dense:
@@ -138,12 +137,22 @@ def primitive(p: Sequence) -> Dense:
     return neg(ints) if ints and ints[-1] < 0 else ints
 
 
-def poly_gcd(p: Sequence, q: Sequence) -> Dense:
-    """Primitive gcd over the rationals (positive leading coefficient)."""
-    a, b = _content_free(trim(p)), _content_free(trim(q))
+def _remainders(a: Sequence, b: Sequence):
+    """The primitive remainder sequence of integer a and b: a, b, then -prem
+    of the last two, each scaled by a positive factor to coprime integers,
+    up to a zero remainder, which follows a nonzero constant at once.  The
+    last element is gcd(a, b) up to a constant."""
+    a, b = _content_free(trim(a)), _content_free(trim(b))
+    yield a
     while b:
-        a, b = b, _content_free(_prem(a, b))
-    return primitive(a)
+        yield b
+        a, b = b, _content_free(neg(_prem(a, b)))
+
+
+def poly_gcd(p: Sequence, q: Sequence) -> Dense:
+    """Primitive gcd of integer p and q (positive leading coefficient)."""
+    *_, g = _remainders(p, q)
+    return primitive(g)
 
 
 def cauchy_bound(p: Sequence) -> Fraction:
@@ -160,19 +169,10 @@ def cauchy_bound(p: Sequence) -> Fraction:
 
 
 def sturm_chain(p: Sequence) -> list[Dense]:
-    """Sturm chain p, p', -rem(p, p'), ..., each element scaled by a positive
-    factor to coprime integers, which keeps every sign variation.  The last
-    element is gcd(p, p') up to a constant."""
-    p = _content_free(trim(p))
-    if len(p) <= 1:
-        return [p]
-    chain = [p, _content_free(derivative(p))]
-    while len(chain[-1]) > 1:
-        rem = _prem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(_content_free(neg(rem)))
-    return chain
+    """Sturm chain p, p', -rem(p, p'), ... of integer p: its primitive
+    remainder sequence, whose positive scalings keep every sign variation.
+    The last element is gcd(p, p') up to a constant."""
+    return list(_remainders(p, derivative(p)))
 
 
 def _sign_scaled(p: Sequence, n: int, d: int) -> int:

@@ -4,8 +4,11 @@ the first non-root among `_dyadic_points` by fresh sign tests, which
 `transforms._dominates_from` computes through its own sign memo; and root
 isolation written as two routines, a left-first recursion for every root
 and a descent into the half that holds the largest, against which the
-one lazy bisection of `polynomials` is checked."""
+one lazy bisection of `polynomials` is checked; and the Sturm chain and
+the gcd written as two pseudo-remainder loops, against which the one
+remainder sequence of `polynomials` is checked."""
 
+import math
 from fractions import Fraction
 from functools import partial
 from typing import Sequence
@@ -100,3 +103,31 @@ def _split(a: Fraction, b: Fraction, evaluate) -> tuple:
         if sl and sr and vl - vr == 1:
             return l, vl, mid, r, vr
         eps /= 2
+
+
+def _content_free(p: Sequence) -> list:
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+def sturm_chain(p: Sequence) -> list:
+    """p, p', -prem of the last two, ..., each scaled to coprime integers,
+    until a zero remainder or a constant element."""
+    p = _content_free(poly.trim(p))
+    if len(p) <= 1:
+        return [p]
+    chain = [p, _content_free(poly.derivative(p))]
+    while len(chain[-1]) > 1:
+        rem = poly._prem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(_content_free(poly.neg(rem)))
+    return chain
+
+
+def poly_gcd(p: Sequence, q: Sequence) -> list:
+    """Primitive gcd by pseudo-remainders run to a zero remainder."""
+    a, b = _content_free(poly.trim(p)), _content_free(poly.trim(q))
+    while b:
+        a, b = b, _content_free(poly._prem(a, b))
+    return poly.primitive(a)

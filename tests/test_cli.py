@@ -167,6 +167,14 @@ def test_enumerate(capsys):
     assert len(lines) == 1 and lines[0]["nu"] == 2
 
 
+def test_enumerate_at_least_needs_matching(capsys):
+    """--at-least reads only with --matching K: alone it is a usage error,
+    not a flag ignored in silence."""
+    assert main(["enumerate", "5", "3", "--at-least"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == ["error: --at-least needs --matching K"]
+
+
 def test_verify(capsys):
     code, out = run(capsys, "verify", "3", "2", "3")
     assert code == 0
@@ -245,6 +253,17 @@ def test_suite_range_above_guard_exit_code(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == ["error: range m_max=7 exceeds the enumeration guard m <= 5 for r=5"]
+
+
+def test_suite_triple_above_guard_exit_code(capsys, tmp_path):
+    """An explicit triple past the guard is the same usage error, raised
+    before the triples sorted ahead of it run, and no report is written."""
+    csv_path, path = tmp_path / "report.csv", tmp_path / "config.json"
+    path.write_text(json.dumps({"triples": [[3, 2, 3], [12, 2, 3]], "csv_path": str(csv_path)}))
+    assert main(["suite", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not csv_path.exists()
+    assert err.splitlines() == ["error: m=12 exceeds the enumeration guard for r=3"]
 
 
 def test_usage_error_exit_code():

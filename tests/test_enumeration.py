@@ -97,6 +97,21 @@ def test_random_hypertree_matches_per_edge_growth():
         assert random_hypertree(m, r, random.Random(s)) == expected, (m, r, s)
 
 
+def test_random_hyperforest_matches_pairwise_unions():
+    """One union of every tree gives the edges of the loop that joined them
+    two at a time, from the same draws: the generator ends in the same state."""
+    cases = [([], 3, 0), ([1], 2, 0), ([1], 4, 5), ([3] * 200, 3, 1), ([2] * 200, 2, 7)]
+    seeded = random.Random(19)
+    for s in range(20):
+        sizes = [seeded.randint(1, 12) for _ in range(seeded.randint(0, 15))]
+        cases.append((sizes, seeded.randint(2, 6), s))
+    for sizes, r, s in cases:
+        ours, theirs = random.Random(s), random.Random(s)
+        forest = random_hyperforest(sizes, r, ours)
+        assert forest == reference_growth.random_hyperforest(sizes, r, theirs), (sizes, r, s)
+        assert forest.m == sum(sizes) and ours.getstate() == theirs.getstate(), (sizes, r, s)
+
+
 def test_random_growth_needs_an_edge(rng):
     for m in (0, -2):
         with pytest.raises(ValueError, match="need at least one edge"):

@@ -127,12 +127,33 @@ def test_suite_default_passes(tmp_path):
 
 
 def test_suite_marks_infeasible_not_failure():
-    config = SuiteConfig(triples=[(5, 4, 3)])
+    # an infeasible triple past the enumeration guard is a row too
+    config = SuiteConfig(triples=[(5, 4, 3), (12, 12, 3)])
     result = run_suite(config)
     assert result.exit_code == 0
-    row = result.rows[0]
-    assert row["winner_code"] == "infeasible"
-    assert row["feasible"] is False
+    assert len(result.rows) == 2
+    for row in result.rows:
+        assert row["winner_code"] == "infeasible"
+        assert row["feasible"] is False
+
+
+@pytest.mark.parametrize(
+    "triples, message",
+    [
+        ([(9, 4, 2), (7, 3, 3), (12, 2, 3)], "m=12 exceeds the enumeration guard for r=3"),
+        ([(5, 3, 2), (4, 5, 3)], "need m >= k >= 1"),
+    ],
+)
+def test_suite_checks_every_triple_before_any_runs(monkeypatch, tmp_path, triples, message):
+    """An explicit triple that cannot run fails the config before the first
+    verification, whatever its place in the sort order, as a range past the
+    guard does."""
+    calls, verify = [], harness.verify_extremal
+    monkeypatch.setattr(harness, "verify_extremal", lambda *args, **kw: calls.append(args) or verify(*args, **kw))
+    csv_path = tmp_path / "report.csv"
+    with pytest.raises(ValueError, match=message):
+        run_suite(SuiteConfig(triples=triples, csv_path=str(csv_path)))
+    assert calls == [] and not csv_path.exists()
 
 
 def test_suite_empty_config():

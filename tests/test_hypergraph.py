@@ -195,6 +195,12 @@ def test_disjoint_union():
     assert disjoint_union(empty, a) == a
     with pytest.raises(ValueError):
         disjoint_union(a, single_edge(4))
+    assert disjoint_union(a) == a
+    three = disjoint_union(a, PATH3_R3, a)
+    assert three == disjoint_union(disjoint_union(a, PATH3_R3), a)
+    assert three.n == 13 and three.edges[-1] == (10, 11, 12)
+    with pytest.raises(ValueError, match="edge sizes differ: 3 vs 4"):
+        disjoint_union(a, a, single_edge(4))
 
 
 def test_helly_property_exhaustive():

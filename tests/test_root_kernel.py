@@ -303,6 +303,46 @@ def test_isolate_top_root_on_every_class():
         assert poly.isolate_top_root(p) == (markers[-1] if markers else None), H.edges
 
 
+def test_remainder_sequence_matches_reference_loops_on_every_class():
+    """The Sturm chain and the gcd read off one remainder sequence equal the
+    two pseudo-remainder loops of `reference_poly`, on the z-polynomial of
+    every class up to the guards: p with p', and p with the next class's p."""
+    polys = [_z_poly(H) for H in _guarded_classes()]
+    for p, q in zip(polys, polys[1:] + polys[:1]):
+        assert poly.sturm_chain(p) == reference_poly.sturm_chain(p)
+        assert poly.poly_gcd(p, poly.derivative(p)) == reference_poly.poly_gcd(p, poly.derivative(p))
+        assert poly.poly_gcd(p, q) == reference_poly.poly_gcd(p, q)
+
+
+def _random_poly(rng, degree):
+    return poly.trim([rng.randint(-30, 30) for _ in range(degree)] + [rng.choice((-7, -2, -1, 1, 3, 8))])
+
+
+def test_remainder_sequence_matches_reference_loops_on_random_polynomials():
+    """Seeded integer polynomials: zero, constants, coprime pairs, repeated
+    roots (squared and cubed factors, shared factors) and negative leading
+    coefficients, as Sturm chains and as gcds in both argument orders."""
+    rng = random.Random(19)
+    cases = [([], []), ([], [5]), ([-4], []), ([3], [-6]), ([0, 0, 2], [0, 4]), ([-1, 0, 1], [0, 0, 0])]
+    for _ in range(300):
+        f, g, h = (_random_poly(rng, rng.randint(0, 4)) for _ in range(3))
+        kind = rng.randrange(4)
+        if kind == 0:  # coprime apart from chance
+            cases.append((f, g))
+        elif kind == 1:  # repeated roots
+            cases.append((poly.mul(poly.mul(f, f), g), poly.mul(poly.mul(f, f), f)))
+        elif kind == 2:  # a shared factor
+            cases.append((poly.mul(f, h), poly.mul(g, h)))
+        else:  # negative leading coefficients
+            cases.append((poly.neg(poly.mul(f, g)), poly.neg(poly.mul(h, h))))
+    assert any(p and p[-1] < 0 for p, _ in cases)
+    for p, q in cases:
+        for a, b in ((p, q), (q, p)):
+            assert poly.sturm_chain(a) == reference_poly.sturm_chain(a), a
+            assert poly.poly_gcd(a, b) == reference_poly.poly_gcd(a, b), (a, b)
+            assert poly.poly_gcd(a, poly.derivative(a)) == reference_poly.poly_gcd(a, poly.derivative(a)), a
+
+
 def _recording(p):
     """An evaluation on p's Sturm chain, and the list of the points it was
     asked at, repeats included."""
