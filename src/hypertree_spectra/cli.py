@@ -105,6 +105,8 @@ def _cmd_bound(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.at_least and args.matching is None:
         raise ValueError("--at-least needs --matching K")
+    if args.matching is not None and not args.m >= args.matching >= 1:
+        raise ValueError("need m >= k >= 1")
     if args.matching is None:
         rows = ((code, H, len(_counts(H)) - 1, {}) for code, (H, _) in _classes(args.m, args.r).items())
     else:

@@ -42,7 +42,10 @@ from .spectral import _polyroot
 
 
 def max_edges_guard(r: int) -> int:
-    """Enumeration guard: class counts explode quickly beyond desk scale."""
+    """Enumeration guard: class counts explode quickly beyond desk scale.
+    An edge size below 2 has no guard and raises ValueError."""
+    if r < 2:
+        raise ValueError("edge size must be at least 2")
     if r == 2:
         return 9
     if r == 3:

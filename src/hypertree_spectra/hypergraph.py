@@ -192,7 +192,8 @@ def validate(H: Hypergraph) -> ValidationReport:
     for j, e in enumerate(H.edges):
         for pair in combinations(e, 2):
             earlier = holders.setdefault(pair, [])
-            clashes.update((i, j) for i in earlier)
+            if earlier:
+                clashes.update((i, j) for i in earlier)
             earlier.append(j)
     for i, j in sorted(clashes):
         a, b = H.edges[i], H.edges[j]

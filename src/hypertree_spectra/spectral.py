@@ -17,9 +17,10 @@ take the type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49,
 2011) of the map g(x) = normalise((B x)^(1/(r-1))) over its last `DEPTH`
 differences, if finite and positive, else the plain step g(x) with the
 history cleared; the certificate is the intersection of every bracket.
-Each connected component gets one edge-index array and one set of
-product buffers, built before its first step; a step fills the buffers
-in place and scatters them onto the vertices with one `np.bincount`.
+Each connected component gets r - 1 index columns, built before its
+first step; a step multiplies the gathers of x over them in place and
+scatters the products onto the vertices with one `np.bincount`.  A
+bracket that has not narrowed for `STALL` steps raises.
 The step calls no BLAS or LAPACK, whose first call maps several hundred
 KB: the mixing's Gram system, at most `DEPTH` unknowns, is solved in
 Python floats.
@@ -49,6 +50,7 @@ from .matching import MatchingProfile, _counts, _require_uniform_linear
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
 DEPTH = 5  # differences kept by the Anderson mixing of the power route
+STALL = 5000  # steps the power route's bracket may go without narrowing
 
 
 class PowerIterationError(RuntimeError):
@@ -82,10 +84,11 @@ class SpectralResult:
 def _adjacency(H: Hypergraph):
     """The map x -> A x of H, as a function of a float vector of length n.
 
-    H's edge-index array, its flat view and the prefix/suffix product
-    buffers are built once; each call fills the buffers in place and
-    scatters the products with `np.bincount`, which adds up each vertex's
-    products in edge order, starting from zero.
+    r - 1 index columns are built once: column j lists, for each (edge,
+    slot), the j-th other vertex of that edge in ascending order.  Each
+    call gathers x over the columns, multiplies the gathers in place from
+    the first column on and scatters the products with `np.bincount`,
+    which adds up each vertex's products in edge order, starting from zero.
     """
     n = H.n
     if H.m == 0:  # np.bincount would return ints
@@ -93,18 +96,13 @@ def _adjacency(H: Hypergraph):
     E = np.array(H.edges, dtype=np.intp)
     flat = E.ravel()
     r = E.shape[1]
-    prefix = np.ones(E.shape)
-    suffix = np.ones(E.shape)
-    products = np.empty(E.shape)
-    weights = products.ravel()
+    first, *rest = (E[:, [j + (j >= i) for i in range(r)]].ravel() for j in range(r - 1))
 
     def apply(x: np.ndarray) -> np.ndarray:
-        X = x[E]
-        for j in range(1, r):
-            np.multiply(prefix[:, j - 1], X[:, j - 1], out=prefix[:, j])
-            np.multiply(suffix[:, r - j], X[:, r - j], out=suffix[:, r - 1 - j])
-        np.multiply(prefix, suffix, out=products)
-        return np.bincount(flat, weights=weights, minlength=n)
+        products = x[first]
+        for column in rest:
+            products *= x[column]
+        return np.bincount(flat, weights=products, minlength=n)
 
     return apply
 
@@ -151,27 +149,34 @@ def _solve(a: list, b: list) -> Optional[list]:
 
 
 def _power_connected(H: Hypergraph, tol: float, max_iter: int) -> tuple:
-    """(rho, x, iterations, intersection of every bracket of rho) for
-    connected H."""
+    """(rho, x, residual, iterations, intersection of every bracket of rho)
+    for connected H."""
     n, r = H.n, H.r
     x = np.full(n, n ** (-1.0 / r))
     if H.m == 0:
-        return 0.0, x, 0, (0.0, 0.0)
+        return 0.0, x, 0.0, 0, (0.0, 0.0)
     adjacency = _adjacency(H)
     shift = 1.0
     low, high = -np.inf, np.inf
     dg, df = np.empty((DEPTH, n)), np.empty((DEPTH, n))
     gram = [[0.0] * DEPTH for _ in range(DEPTH)]
     kept = 0  # differences pushed since the history was last cleared
+    narrowed = 0  # the last step that narrowed the bracket
     for it in range(1, max_iter + 1):
         x_r1 = x ** (r - 1)
         y = adjacency(x) + x_r1
         ratios = y / x_r1
-        lo = float(ratios.min())
-        hi = float(ratios.max())
-        low, high = max(low, lo), min(high, hi)
+        lo = float(np.minimum.reduce(ratios))
+        hi = float(np.maximum.reduce(ratios))
+        if lo > low or hi < high:
+            low, high, narrowed = max(low, lo), min(high, hi), it
         if hi - lo <= tol:
-            return (lo + hi) / 2 - shift, x / ((x**r).sum()) ** (1.0 / r), it, (low - shift, high - shift)
+            rho, x = (lo + hi) / 2 - shift, x / ((x**r).sum()) ** (1.0 / r)
+            defect = float(np.maximum.reduce(np.abs(adjacency(x) - rho * x ** (r - 1))))
+            return rho, x, defect, it, (low - shift, high - shift)
+        if it - narrowed >= STALL:
+            stalled = f"bracket stalled for {STALL} steps at width {high - low:.3e} after {it} iterations"
+            raise PowerIterationError(stalled, (low - shift, high - shift), it)
         g = y ** (1.0 / (r - 1))
         g /= ((g**r).sum()) ** (1.0 / r)
         f = g - x
@@ -188,7 +193,7 @@ def _power_connected(H: Hypergraph, tol: float, max_iter: int) -> tuple:
         gamma = _solve(gram[:k], np.einsum("ij,j->i", df[:k], f).tolist()) if kept else None
         if gamma is not None:
             mixed = g - np.einsum("i,ij->j", gamma, dg[:k])
-            if mixed.min() > 0 and mixed.max() < np.inf:  # false on NaN
+            if np.minimum.reduce(mixed) > 0 and np.maximum.reduce(mixed) < np.inf:  # false on NaN
                 x = mixed
         if x is g:
             kept = 0
@@ -208,25 +213,25 @@ def spectral_radius_power(
     gives weak irreducibility).
 
     rho is the largest component rho, that component's eigenvector is
-    embedded (zeros elsewhere keep the global residual exact), and
-    `certificate` is (max lo, max hi) over the components' intersected
-    brackets, so it holds rho.
+    embedded, and `certificate` is (max lo, max hi) over the components'
+    intersected brackets, so it holds rho.  The zeros off that component
+    add nothing to the eigen-equation, so the component's residual is H's.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    _require_uniform_linear(validate(H))
+    report = _require_uniform_linear(validate(H))
     if H.n == 0:
         raise ValueError("empty hypergraph has no spectrum")
-    comps = connected_components(H)
-    parts = [H] if len(comps) == 1 else [restrict(H, comp).hypergraph for comp in comps]
-    rhos, xs, steps, brackets = zip(*(_power_connected(part, tol, max_iter) for part in parts))
+    comps = [range(H.n)] if report.connected else connected_components(H)
+    parts = [H] if report.connected else [restrict(H, comp).hypergraph for comp in comps]
+    rhos, xs, defects, steps, brackets = zip(*(_power_connected(part, tol, max_iter) for part in parts))
     best = rhos.index(max(rhos))  # the first of equals
     rho, x = rhos[best], np.zeros(H.n)
     x[comps[best]] = xs[best]
     certificate = tuple(map(max, zip(*brackets)))
-    return SpectralResult(rho, "power", x, residual(H, rho, x), sum(steps), certificate)
+    return SpectralResult(rho, "power", x, defects[best], sum(steps), certificate)
 
 
 def spectral_radius_polyroot(H: Hypergraph) -> SpectralResult:

@@ -175,6 +175,15 @@ def test_enumerate_at_least_needs_matching(capsys):
     assert out == "" and err.splitlines() == ["error: --at-least needs --matching K"]
 
 
+@pytest.mark.parametrize("k, at_least", [("9", []), ("0", []), ("-1", ["--at-least"])])
+def test_enumerate_checks_matching_number(capsys, k, at_least):
+    """K outside 1..M is the usage error `htspec verify` gives, not an empty
+    listing or, with --at-least, every class."""
+    assert main(["enumerate", "4", "3", "--matching", k, *at_least]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == ["error: need m >= k >= 1"]
+
+
 def test_verify(capsys):
     code, out = run(capsys, "verify", "3", "2", "3")
     assert code == 0

@@ -69,6 +69,9 @@ def test_guards():
     assert max_edges_guard(3) == 7
     assert max_edges_guard(4) == 5
     assert max_edges_guard(7) == 5
+    for r in (1, 0, -3):
+        with pytest.raises(ValueError, match="edge size must be at least 2"):
+            max_edges_guard(r)
     with pytest.raises(ValueError):
         enumerate_hypertrees(10, 2)
     with pytest.raises(ValueError):

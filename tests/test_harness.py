@@ -156,6 +156,15 @@ def test_suite_checks_every_triple_before_any_runs(monkeypatch, tmp_path, triple
     assert calls == [] and not csv_path.exists()
 
 
+@pytest.mark.parametrize("m_max", [0, 3, 9])
+def test_suite_range_below_edge_size_two(m_max):
+    """A range with r < 2 is an edge-size error whatever its m_max, not a
+    breach of a guard that r has none of."""
+    config = SuiteConfig.from_json_dict({"ranges": [{"r": 1, "m_max": m_max}]})
+    with pytest.raises(ValueError, match="^edge size must be at least 2$"):
+        config.all_triples()
+
+
 def test_suite_empty_config():
     result = run_suite(SuiteConfig())
     assert result.exit_code == 0

@@ -28,6 +28,7 @@ from hypertree_spectra import spectral
 from hypertree_spectra.enumeration import random_hypertree
 
 from conftest import path_graph
+import reference_power
 
 GOLDEN = (1 + 5**0.5) / 2
 
@@ -314,13 +315,70 @@ def test_power_failure_reports_last_bracket(monkeypatch):
 
 
 def test_power_deep_path_converges():
-    """The 600-edge path closes its bracket with the defaults, on the closed
-    form 2 cos(pi / 602), which shares no code with either route."""
-    res = spectral_radius_power(path_graph(601))
-    want = 2 * math.cos(math.pi / 602)
-    assert abs(res.rho - want) <= 1e-9
-    lo, hi = res.certificate
-    assert lo <= want <= hi
+    """The 600-edge loose paths for r = 2 and 3 close their brackets with
+    the defaults, on the closed form (2 cos(pi / 602))^(2/r): the r-uniform
+    loose path is the r-th power hypergraph of the ordinary one.  The form
+    shares no code with either route."""
+    for r in (2, 3):
+        H = Hypergraph(r, 600 * (r - 1) + 1, [range(i * (r - 1), i * (r - 1) + r) for i in range(600)])
+        res = spectral_radius_power(H)
+        want = (2 * math.cos(math.pi / 602)) ** (2 / r)
+        assert abs(res.rho - want) <= 1e-9, r
+        lo, hi = res.certificate
+        assert lo <= want <= hi, r
+
+
+def test_power_stall_raises_with_bracket():
+    """A tol below what doubles can resolve: the bracket stops narrowing
+    near step 132, so the route raises `STALL` steps later, not after
+    max_iter, with a bracket that still holds rho."""
+    H = random_hypertree(30, 3, random.Random(2))
+    with pytest.raises(PowerIterationError, match="stalled") as info:
+        spectral_radius_power(H, tol=1e-15)
+    assert spectral.STALL < info.value.iterations < 5200
+    lo, hi = info.value.bracket
+    assert lo <= spectral_radius_polyroot(H).rho <= hi
+
+
+def _power_cases(rng):
+    for r in range(2, 7):
+        for m in (1, 2, 7, 30, 120, 300):
+            yield random_hypertree(m, r, rng)
+            yield random_hyperforest([m, rng.randrange(1, 20), 1], r, rng)
+
+
+def test_power_route_matches_buffered_kernel():
+    """Against the route with the prefix/suffix kernel, a second kernel for
+    the residual and its own component split: every byte of rho, steps,
+    certificate, residual and eigenvector for r = 2 and 3, whose products
+    keep their factors; for r >= 4, which groups them differently, the
+    tolerances of the plain reference above.  The residual is the public
+    `residual` of the result in every case."""
+    for H in _power_cases(random.Random(2077)):
+        res, ref = spectral_radius_power(H), reference_power.spectral_radius_power(H)
+        assert res.residual == residual(H, res.rho, res.eigenvector), H.edges
+        if H.r <= 3:
+            assert (res.rho, res.iterations, res.certificate) == (ref.rho, ref.iterations, ref.certificate), H.edges
+            assert res.residual == ref.residual, H.edges
+            assert res.eigenvector.tobytes() == ref.eigenvector.tobytes(), H.edges
+        else:
+            assert abs(res.rho - ref.rho) <= 1e-10, H.edges
+            assert np.max(np.abs(res.eigenvector - ref.eigenvector)) <= 1e-9, H.edges
+            assert res.residual <= 1e-10, H.edges
+
+
+def test_power_connected_input_skips_component_split(monkeypatch):
+    """Connectivity comes from the `validate` report: a connected input never
+    asks for its components, a forest still does."""
+    split = connected_components
+
+    def refuse(H):
+        assert not spectral.validate(H).connected, H.edges
+        return split(H)
+
+    monkeypatch.setattr(spectral, "connected_components", refuse)
+    for H in _power_cases(random.Random(31)):
+        spectral_radius_power(H)
 
 
 def test_power_certificate_holds_polyroot_rho():
