@@ -20,7 +20,7 @@ from .constructions import (
 )
 from .enumeration import _classes, enumerate_T_mkr
 from .harness import SuiteConfig, default_config, run_suite, verify_extremal
-from .hypergraph import load, to_json_dict, validate
+from .hypergraph import load, save, to_json_dict, validate
 from .matching import _counts, matching_polynomial
 from .spectral import PowerIterationError, spectral_radius_polyroot, spectral_radius_power
 from .transforms import compare_order, majorization_chain
@@ -67,13 +67,10 @@ def _cmd_rho(args) -> int:
 
 def _cmd_extremal(args) -> int:
     H = build_A(args.m, args.k, args.r)
-    text = json.dumps(to_json_dict(H))
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        save(H, args.emit)
     else:
-        print(text)
+        print(json.dumps(to_json_dict(H)))
     return 0
 
 

@@ -73,12 +73,10 @@ def _classes(m: int, r: int) -> dict[CanonicalCode, tuple[Hypergraph, list[int]]
     of each smaller class.  `attach_pendent` on a hypertree gives a
     hypertree, so one `_forest_code` pass, with no acyclicity scan, codes
     each candidate and gives a new class the orbits it is grown from."""
-    if r < 2:
-        raise ValueError("edge size must be at least 2")
+    if m > max_edges_guard(r):  # raises first for an edge size below 2
+        raise ValueError(f"m={m} exceeds the enumeration guard for r={r}")
     if m < 1:
         raise ValueError("need at least one edge")
-    if m > max_edges_guard(r):
-        raise ValueError(f"m={m} exceeds the enumeration guard for r={r}")
     if m == 1:
         code, _, orbits = _forest_code(single_edge(r))
         return {code: (single_edge(r), orbits)}

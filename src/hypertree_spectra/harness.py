@@ -82,46 +82,50 @@ class VerificationReport:
         }
 
 
-def _compare(a: EnumerationRecord, b: EnumerationRecord) -> int:
-    """Sign of rho_a - rho_b: read off the brackets of rho^r where they do
-    not overlap, from `compare_top_roots` where they do."""
-    below, above = a.certificate[1] <= b.certificate[0], b.certificate[1] <= a.certificate[0]
-    if below or above:  # both only for the same point twice
-        return above - below
-    return poly.compare_top_roots(a.z_poly, b.z_poly)
+def _compare(a: tuple, b: tuple) -> int:
+    """Sign of top root of p - top root of q, for a = (p, bracket), b = (q, bracket),
+    each bracket a point or an open interval holding no other root.  Brackets
+    that do not overlap decide.  A root of gcd(p, q) where they meet is both
+    top roots; else they differ, and `refine_isolating` narrows both until they part."""
+    (p, (a0, a1)), (q, (b0, b1)) = a, b
+    if a1 > b0 and b1 > a0:  # the brackets meet in (lo, hi), or in lo == hi where one is a point
+        g, lo, hi = poly.poly_gcd(p, q), max(a0, b0), min(a1, b1)
+        if poly.sign_at(g, lo) == 0 if lo == hi else poly.count_real_roots(poly.sturm_chain(g), lo, hi) > 0:
+            return 0
+    while a1 > b0 and b1 > a0:
+        (a0, a1), (b0, b1) = _narrow(p, a0, a1), _narrow(q, b0, b1)
+    return (b1 <= a0) - (a1 <= b0)  # both only for the same point twice
 
 
-def _matches_bound(winner: EnumerationRecord, G: list[int], alpha_bracket: tuple) -> bool:
-    """Whether the winner's rho^r equals 1/(1 - alpha0), alpha0 the root of G
-    in `alpha_bracket`.  x -> 1/(1 - x) maps that bracket onto one holding
-    no root of B(z) = z^deg(G) G(1 - 1/z) but 1/(1 - alpha0), as the
-    winner's bracket holds no root of its z-polynomial p but rho^r, and no
-    end of either is a root.  So they are equal iff gcd(p, B) has a root in both."""
+def _narrow(p: list[int], lo, hi) -> tuple:
+    """(lo, hi) narrowed 2^20-fold about the one root of p in it; a point stays."""
+    marker = ("point", lo) if lo == hi else poly.refine_isolating(p, lo, hi, (hi - lo) / 2**20)
+    return marker[1], marker[-1]
+
+
+def _bound_top(G: list[int], alpha_bracket: tuple) -> tuple:
+    """rho^r of the closed form as a certified top root: B(z) = z^deg(G) G(1 - 1/z),
+    whose top root is 1/(1 - alpha0), and alpha0's bracket mapped by x -> 1/(1 - x)."""
     B, power = [], [1]
     for i, c in enumerate(G):  # c (z - 1)^i z^(deg G - i)
         B = poly.add(B, poly.mul_xpow([c * x for x in power], len(G) - 1 - i))
         power = poly.mul(power, [-1, 1])
-    g = poly.poly_gcd(winner.z_poly, B)
-    lo = max(winner.certificate[0], 1 / (1 - alpha_bracket[0]))
-    hi = min(winner.certificate[1], 1 / (1 - alpha_bracket[1]))
-    if lo == hi:
-        return poly.sign_at(g, lo) == 0
-    return lo < hi and poly.count_real_roots(poly.sturm_chain(g), lo, hi) > 0
+    return B, tuple(1 / (1 - x) for x in alpha_bracket)
 
 
 def verify_extremal(m: int, k: int, r: int, at_least: bool = False) -> VerificationReport:
     """Exhaustively check that A(m, k, r) is the unique rho maximizer.
 
-    `rho_bound` runs first and raises InfeasibleParameters.  The verdicts
-    are exact: classes are ordered by the rational brackets of their rho^r
-    (`_compare`), and the bound is matched by a common root of two integer
-    polynomials (`_matches_bound`).
+    `rho_bound` runs first and raises InfeasibleParameters.  The verdicts are
+    exact: the winner, `unique` and `matches_bound` read `_compare` of the
+    certified top roots rho^r of the classes and of the bound.
     """
     bound = rho_bound(m, k, r)
     records = list(enumerate_T_mkr(m, k, r, at_least=at_least))
     if not records:
         raise RuntimeError(f"feasible parameters produced no classes: {(m, k, r)}")
-    winner = max(records, key=cmp_to_key(_compare))  # the first of equals: the lowest code
+    tops = [(rec.z_poly, rec.certificate) for rec in records]
+    w = max(range(len(tops)), key=lambda j: cmp_to_key(_compare)(tops[j]))  # the first of equals: the lowest code
     params = extremal_params(m, k, r)
     G = _cleared_bound_poly(r, params.q, params.s, params.l)
     return VerificationReport(
@@ -129,12 +133,12 @@ def verify_extremal(m: int, k: int, r: int, at_least: bool = False) -> Verificat
         k=k,
         r=r,
         class_count=len(records),
-        winner_code=winner.code,
-        winner_rho=winner.rho,
+        winner_code=records[w].code,
+        winner_rho=records[w].rho,
         bound_rho=bound.rho,
-        unique=all(_compare(rec, winner) < 0 for rec in records if rec is not winner),
-        matches_bound=_matches_bound(winner, G, bound.certificate),
-        winner_is_construction=winner.code == canonical_code(build_A(m, k, r)),
+        unique=all(_compare(top, tops[w]) < 0 for j, top in enumerate(tops) if j != w),
+        matches_bound=_compare(tops[w], _bound_top(G, bound.certificate)) == 0,
+        winner_is_construction=records[w].code == canonical_code(build_A(m, k, r)),
         interpretation="at-least-nu" if at_least else "exact-nu",
     )
 

@@ -20,9 +20,9 @@ float read off a top root is the double nearest it, decided by exact
 signs: a float Newton guess only proposes a narrow bracket, which two
 exact signs confirm before the bisection starts from it (float search,
 exact certificate, as in Sagraloff & Mehlhorn, J. Symb. Comput. 73,
-2016).  The double comes with the rational bracket it was read from;
-`compare_top_roots` orders two top roots exactly where their brackets
-overlap.
+2016).  The double comes with the rational bracket it was read from,
+which holds the top root and no other root; where two such brackets
+overlap, `refine_isolating` narrows them until they part.
 """
 
 from __future__ import annotations
@@ -439,16 +439,3 @@ def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int, tuple]
             A, fa = mid, fm
     return fa, tests, (Fraction(A, D), Fraction(B, D))
 
-
-def compare_top_roots(p: Sequence, q: Sequence) -> int:
-    """Sign of (largest real root of p) - (largest real root of q), both
-    real: the top root of p*q, isolated once, is the larger of the two,
-    so which of p and q vanish there gives the verdict."""
-    top = isolate_top_root(mul(p, q))
-    if top is None:
-        raise ValueError("p and q need a real root")
-    if top[0] == "point":
-        at_p, at_q = (sign_at(f, top[1]) == 0 for f in (p, q))
-    else:
-        at_p, at_q = (count_real_roots(sturm_chain(f), *top[1:]) > 0 for f in (p, q))
-    return at_p - at_q

@@ -6,7 +6,11 @@ isolation written as two routines, a left-first recursion for every root
 and a descent into the half that holds the largest, against which the
 one lazy bisection of `polynomials` is checked; and the Sturm chain and
 the gcd written as two pseudo-remainder loops, against which the one
-remainder sequence of `polynomials` is checked."""
+remainder sequence of `polynomials` is checked; and two exact tests on
+top roots, against which the one comparison of certified top roots in
+`harness._compare` is checked: the order of two top roots from the top
+root of their product, and the equality of a top root with the closed
+form's from a common root of the two polynomials."""
 
 import math
 from fractions import Fraction
@@ -131,3 +135,34 @@ def poly_gcd(p: Sequence, q: Sequence) -> list:
     while b:
         a, b = b, _content_free(poly._prem(a, b))
     return poly.primitive(a)
+
+
+def compare_top_roots(p: Sequence, q: Sequence) -> int:
+    """Sign of (largest real root of p) - (largest real root of q), both
+    real: the top root of p*q, isolated once, is the larger of the two,
+    so which of p and q vanish there gives the verdict."""
+    top = poly.isolate_top_root(poly.mul(p, q))
+    if top is None:
+        raise ValueError("p and q need a real root")
+    if top[0] == "point":
+        at_p, at_q = (poly.sign_at(f, top[1]) == 0 for f in (p, q))
+    else:
+        at_p, at_q = (poly.count_real_roots(poly.sturm_chain(f), *top[1:]) > 0 for f in (p, q))
+    return at_p - at_q
+
+
+def matches_bound(z_poly: Sequence, bracket: tuple, G: list, alpha_bracket: tuple) -> bool:
+    """Whether the top root of z_poly in `bracket` equals 1/(1 - alpha0),
+    alpha0 the root of G in `alpha_bracket`: whether gcd(z_poly, B), for
+    B(z) = z^deg(G) G(1 - 1/z), has a root in both brackets, the second
+    mapped by x -> 1/(1 - x)."""
+    B, power = [], [1]
+    for i, c in enumerate(G):  # c (z - 1)^i z^(deg G - i)
+        B = poly.add(B, poly.mul_xpow([c * x for x in power], len(G) - 1 - i))
+        power = poly.mul(power, [-1, 1])
+    g = poly.poly_gcd(z_poly, B)
+    lo = max(bracket[0], 1 / (1 - alpha_bracket[0]))
+    hi = min(bracket[1], 1 / (1 - alpha_bracket[1]))
+    if lo == hi:
+        return poly.sign_at(g, lo) == 0
+    return lo < hi and poly.count_real_roots(poly.sturm_chain(g), lo, hi) > 0

@@ -119,6 +119,8 @@ def test_extremal_emit(capsys, tmp_path):
     assert code == 0
     data = json.loads(target.read_text())
     assert data["r"] == 3 and data["n"] == 7 and len(data["edges"]) == 3
+    # the file holds the bytes the command prints without --emit
+    assert target.read_bytes() == run(capsys, "extremal", "3", "2", "3")[1].encode()
 
 
 def test_extremal_stdout(capsys):

@@ -78,6 +78,24 @@ def test_guards():
         enumerate_hypertrees(6, 4)
 
 
+@pytest.mark.parametrize(
+    "m, r, message",
+    [
+        (0, 1, "edge size must be at least 2"),
+        (1, 1, "edge size must be at least 2"),
+        (3, 0, "edge size must be at least 2"),
+        (-1, 2, "need at least one edge"),
+        (0, 2, "need at least one edge"),
+        (10, 2, "m=10 exceeds the enumeration guard for r=2"),
+        (8, 3, "m=8 exceeds the enumeration guard for r=3"),
+    ],
+)
+def test_enumeration_argument_messages(m, r, message):
+    """An edge size below 2 is named first, whatever m; then m below 1, then m past the guard."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        enumerate_hypertrees(m, r)
+
+
 def test_attach_pendent():
     H = single_edge(3)
     grown = attach_pendent(H, 1)

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import math
+from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -17,11 +20,15 @@ from hypertree_spectra import (
     is_pendent_edge,
     hyperstar,
     matching_counts,
+    rho_bound,
     run_suite,
     verify_extremal,
     verify_perfect_matching,
 )
+from hypertree_spectra.constructions import _cleared_bound_poly, extremal_params
+from hypertree_spectra.enumeration import max_edges_guard
 
+import reference_poly as ref
 from conftest import path_graph
 
 
@@ -210,8 +217,8 @@ def test_verdicts_on_overlapping_brackets(monkeypatch):
     cases = [(7, 3, 2, False), (7, 2, 2, False), (6, 3, 3, False), (5, 2, 4, True), (6, 2, 2, True)]
     expected = [verify_extremal(*case) for case in cases]
     calls = []
-    compare = poly.compare_top_roots
-    monkeypatch.setattr(poly, "compare_top_roots", lambda p, q: calls.append((p, q)) or compare(p, q))
+    refine = poly.refine_isolating
+    monkeypatch.setattr(poly, "refine_isolating", lambda *args: calls.append(args) or refine(*args))
     monkeypatch.setattr(
         harness, "enumerate_T_mkr", lambda *args, **kwargs: map(_coarse, enumerate_T_mkr(*args, **kwargs))
     )
@@ -232,3 +239,98 @@ def test_exact_tie_is_not_unique(monkeypatch):
     assert report.class_count == 2
     assert report.winner_code == tied[0].code < tied[1].code
     assert not report.unique and not report.matches_bound and not report.passed
+
+
+def _first_bracket(p):
+    """The first isolating bracket of p's top root: a point or an interval."""
+    top = poly.isolate_top_root(p)
+    return top[1], top[-1]
+
+
+def _feasible_cells(r_max):
+    """Every feasible (m, k, r) up to the enumeration guards, r = 2..r_max."""
+    for r in range(2, r_max + 1):
+        for m in range(1, max_edges_guard(r) + 1):
+            for k in range(1, m + 1):
+                if extremal_params(m, k, r).feasible:
+                    yield m, k, r
+
+
+def test_compare_top_roots(monkeypatch):
+    """Cases whose signs are known, with every mix of kernel and first
+    isolating brackets, in both orders."""
+    x = Fraction(math.sqrt(2))
+    cases = [
+        # (7, 3, 2): the z-polynomials (z-4)(z^2-3z+1) and (z-4)(z-2)(z-1) of
+        # two classes share their top root 4
+        ([-4, 13, -7, 1], [-8, 14, -7, 1], 0),
+        # sqrt(2) against n/d, the double nearest it, which lies above
+        ([-2, 0, 1], [-x.numerator, x.denominator], -1),
+        # different degrees, as for classes of different nu (at-least-nu reading)
+        ([-4, 1], [1, -3, 1], 1),
+        ([-2, 1], [1, -3, 1], -1),
+        ([-4, 1], [-8, 14, -7, 1], 0),
+    ]
+    calls = []
+    refine = poly.refine_isolating
+    monkeypatch.setattr(poly, "refine_isolating", lambda *args: calls.append(args) or refine(*args))
+    for p, q, sign in cases:
+        for a in (poly._nearest_top_root(p)[2], _first_bracket(p)):
+            for b in (poly._nearest_top_root(q)[2], _first_bracket(q)):
+                assert harness._compare((p, a), (q, b)) == sign == ref.compare_top_roots(p, q)
+                assert harness._compare((q, b), (p, a)) == -sign
+    # sqrt(2) and n/d round to one double; their first isolating brackets
+    # overlap, and only the refinement parts them
+    p, q = cases[1][:2]
+    assert poly._nearest_top_root(p)[0] == poly._nearest_top_root(q)[0] == math.sqrt(2)
+    calls.clear()
+    assert harness._compare((p, _first_bracket(p)), (q, _first_bracket(q))) == -1
+    assert calls
+
+
+@pytest.mark.parametrize("offset", [Fraction(1, 2**200), Fraction(-1, 2**200), Fraction(1, 3 * 2**200)])
+def test_compare_point_inside_close_interval(offset):
+    """A point bracket inside another polynomial's open bracket, whose root
+    is only 2^-200 away: the refinement parts them with the right sign."""
+    root = 4 + offset
+    point = ([-4, 1], (Fraction(4), Fraction(4)))
+    interval = ([-root.numerator, root.denominator], (Fraction(3), Fraction(5)))
+    sign = 1 if offset < 0 else -1
+    assert harness._compare(point, interval) == sign
+    assert harness._compare(interval, point) == -sign
+
+
+def test_compare_matches_reference_on_every_cell():
+    """On every pair of classes in every cell up to the guards, `_compare`
+    gives the sign of the reference comparison, with kernel brackets,
+    first isolating ones, and one of each."""
+    for m, k, r in _feasible_cells(5):
+        records = list(enumerate_T_mkr(m, k, r))
+        polys = [rec.z_poly for rec in records]
+        tops = [((p, rec.certificate), (p, _first_bracket(p))) for p, rec in zip(polys, records)]
+        # the reference sign of every pair, from ranks in the reference order
+        order = sorted(range(len(polys)), key=cmp_to_key(lambda i, j: ref.compare_top_roots(polys[i], polys[j])))
+        rank = {order[0]: 0}
+        for i, j in zip(order, order[1:]):
+            rank[j] = rank[i] + (ref.compare_top_roots(polys[j], polys[i]) > 0)
+        for i in range(len(tops)):
+            for j in range(i + 1, len(tops)):
+                sign = (rank[i] > rank[j]) - (rank[i] < rank[j])
+                for x, y in ((0, 0), (1, 1), (0, 1), (1, 0)):
+                    assert harness._compare(tops[i][x], tops[j][y]) == sign, (m, k, r, i, j, x, y)
+
+
+@pytest.mark.parametrize("at_least", [False, True])
+def test_matches_bound_agrees_with_reference(at_least):
+    """`matches_bound` is the reference's common-root test on every feasible
+    triple up to the guards, and so is `_compare` against the bound with
+    the winner's first isolating bracket."""
+    for m, k, r in _feasible_cells(6):
+        report = verify_extremal(m, k, r, at_least=at_least)
+        winner = next(rec for rec in enumerate_T_mkr(m, k, r, at_least=at_least) if rec.code == report.winner_code)
+        params, alpha = extremal_params(m, k, r), rho_bound(m, k, r).certificate
+        G = _cleared_bound_poly(r, params.q, params.s, params.l)
+        assert report.matches_bound == ref.matches_bound(winner.z_poly, winner.certificate, G, alpha)
+        coarse = _first_bracket(winner.z_poly)
+        equal = harness._compare((winner.z_poly, coarse), harness._bound_top(G, alpha)) == 0
+        assert equal == ref.matches_bound(winner.z_poly, coarse, G, alpha), (m, k, r)

@@ -1,6 +1,5 @@
 """Exact polynomial arithmetic and root isolation."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -117,26 +116,6 @@ def test_endpoints_at_roots_rejected():
             poly.count_real_roots(chain, a, b)
     assert poly.isolate_real_roots(p, 1, 5) == [("interval", Fraction(1), Fraction(5))]
     assert poly.count_real_roots(chain, 1, 5) == 1
-
-
-def test_compare_top_roots():
-    # (7, 3, 2): the z-polynomials (z-4)(z^2-3z+1) and (z-4)(z-2)(z-1) of
-    # two classes share their top root 4
-    assert poly.compare_top_roots([-4, 13, -7, 1], [-8, 14, -7, 1]) == 0
-    # sqrt(2) against n/d, the double nearest it: one double for both, and
-    # n/d lies above
-    x = Fraction(math.sqrt(2))
-    p, q = [-2, 0, 1], [-x.numerator, x.denominator]
-    assert poly._nearest_top_root(p)[0] == poly._nearest_top_root(q)[0] == math.sqrt(2)
-    assert poly.compare_top_roots(p, q) == -1
-    assert poly.compare_top_roots(q, p) == 1
-    # different degrees, as for classes of different nu (at-least-nu reading)
-    assert poly.compare_top_roots([-4, 1], [1, -3, 1]) == 1
-    assert poly.compare_top_roots([-2, 1], [1, -3, 1]) == -1
-    assert poly.compare_top_roots([-4, 1], [-8, 14, -7, 1]) == 0
-    # no real root to compare
-    with pytest.raises(ValueError, match="need a real root"):
-        poly.compare_top_roots([1, 0, 1], [1, 0, 1])
 
 
 def test_largest_real_root_float():
