@@ -85,21 +85,23 @@ class VerificationReport:
 def _compare(a: tuple, b: tuple) -> int:
     """Sign of top root of p - top root of q, for a = (p, bracket), b = (q, bracket),
     each bracket a point or an open interval holding no other root.  Brackets
-    that do not overlap decide.  A root of gcd(p, q) where they meet is both
-    top roots; else they differ, and `refine_isolating` narrows both until they part."""
+    that do not overlap decide.  A root of gcd(p, q) where they meet is both top roots;
+    else they differ, and `refine_isolating` narrows both until they part, each on
+    its square-free part, built once here."""
     (p, (a0, a1)), (q, (b0, b1)) = a, b
     if a1 > b0 and b1 > a0:  # the brackets meet in (lo, hi), or in lo == hi where one is a point
         g, lo, hi = poly.poly_gcd(p, q), max(a0, b0), min(a1, b1)
         if poly.sign_at(g, lo) == 0 if lo == hi else poly.count_real_roots(poly.sturm_chain(g), lo, hi) > 0:
             return 0
+        p, q = (f if l == h else poly._square_free(poly.sturm_chain(f)) for f, (l, h) in (a, b))
     while a1 > b0 and b1 > a0:
         (a0, a1), (b0, b1) = _narrow(p, a0, a1), _narrow(q, b0, b1)
     return (b1 <= a0) - (a1 <= b0)  # both only for the same point twice
 
 
-def _narrow(p: list[int], lo, hi) -> tuple:
-    """(lo, hi) narrowed 2^20-fold about the one root of p in it; a point stays."""
-    marker = ("point", lo) if lo == hi else poly.refine_isolating(p, lo, hi, (hi - lo) / 2**20)
+def _narrow(q: list[int], lo, hi) -> tuple:
+    """(lo, hi) narrowed 2^20-fold about the one root of q in it, q square-free; a point stays."""
+    marker = ("point", lo) if lo == hi else poly.refine_isolating(q, lo, hi, (hi - lo) / 2**20)
     return marker[1], marker[-1]
 
 

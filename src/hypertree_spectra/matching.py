@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 from . import polynomials as poly
 from .hypergraph import (
@@ -142,8 +141,9 @@ def _fold(H: Hypergraph, order: list[int], parent: list[int], width: list[int]) 
     return below.get(-1, (1,))[0], bits
 
 
-def _forest_counts(H: Hypergraph) -> list[int]:
-    """Counts of a hyperforest as a polynomial in t, children before parents.
+def _forest_counts(H: Hypergraph, walk: tuple | None = None) -> list[int]:
+    """Counts of a hyperforest as a polynomial in t, children before parents
+    of `walk`, its `_incidence_walk` (made here if not given).
 
     Each node x carries (full, free): the matchings below x, all of them
     and those leaving x out (for an edge node: not using the edge).  The
@@ -163,7 +163,7 @@ def _forest_counts(H: Hypergraph) -> list[int]:
     bytes.  Slots sized per node, rather than all at Z's width, keep the
     many small products below the root small.
     """
-    order, parent = _incidence_walk(H)
+    order, parent = walk or _incidence_walk(H)
     Z, bits = _fold(H, order, parent, [0] * (len(order) + 1))
     size = (Z.bit_length() + 7) // 8
     width = [(b + 7) // 8 for b in bits] + [size]  # width[-1]: the forest's root
@@ -172,9 +172,10 @@ def _forest_counts(H: Hypergraph) -> list[int]:
     return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
-def _cyclic_counts(H: Hypergraph, e: tuple[int, ...], find: Callable[[int], int]) -> list[int]:
-    """Counts of H with a cycle through edge e, per component, so that the
-    branches of disjoint cycles add up instead of multiplying."""
+def _cyclic_counts(H: Hypergraph) -> list[int]:
+    """Counts of H with a cycle through edge e, the one `_forest_scan` finds, per
+    component, so that the branches of disjoint cycles add up instead of multiplying."""
+    e, _, find = _forest_scan(H)
     parts: dict[int, list[tuple[int, ...]]] = {}
     for x in H.edges:
         parts.setdefault(find(x[0]), []).append(x)
@@ -195,8 +196,8 @@ def _counts(H: Hypergraph) -> tuple[int, ...]:
     key = (H.r, H.n, H.edges)
     hit = _cache.get(key)
     if hit is None:
-        e, _, find = _forest_scan(H)
-        hit = _cache[key] = tuple(_forest_counts(H) if e is None else _cyclic_counts(H, e, find))
+        walk = _incidence_walk(H)  # a hyperforest exactly when every node is peeled
+        hit = _cache[key] = tuple(_forest_counts(H, walk) if len(walk[0]) == H.n + H.m else _cyclic_counts(H))
     return hit
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import gcd, inf, isfinite, lcm, nextafter, ulp
+from math import exp, gcd, inf, isfinite, lcm, log, nextafter, ulp
 from typing import Sequence
 
 Dense = list
@@ -297,16 +297,14 @@ def _square_free(chain: list[Dense]) -> Dense:
     return exact_quotient(chain[0], chain[-1])
 
 
-def refine_isolating(p: Sequence, a: Fraction, b: Fraction, width: Fraction) -> tuple:
-    """Shrink an isolating interval below `width` by sign bisection.
-
-    q = p / gcd(p, p') (gcd: the last element of p's Sturm chain) has the
-    distinct roots of p, all simple, so the root lies left of a midpoint
-    exactly when q changes sign there, whatever its multiplicity in p.
-    Endpoints are integers A/D, B/D.  May collapse to a ("point", mid)
-    marker when the root is rational.
+def refine_isolating(q: Sequence, a: Fraction, b: Fraction, width: Fraction) -> tuple:
+    """Shrink an interval holding one root of q, where q changes sign, below
+    `width` by sign bisection: the root lies left of a midpoint exactly when
+    q changes sign there.  For a root of p of even multiplicity, pass p's
+    square-free part `_square_free(sturm_chain(p))`, whose roots are those of
+    p, all simple.  Endpoints are integers A/D, B/D.  May collapse to a
+    ("point", mid) marker when the root is rational.
     """
-    q = _square_free(sturm_chain(p))
     a, b, width = Fraction(a), Fraction(b), Fraction(width)
     D = lcm(a.denominator, b.denominator)
     A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
@@ -321,6 +319,26 @@ def refine_isolating(p: Sequence, a: Fraction, b: Fraction, width: Fraction) -> 
         else:
             A = mid
     return ("interval", Fraction(A, D), Fraction(B, D))
+
+
+def taylor_shift(p: Sequence, x: Fraction) -> Dense:
+    """d^deg p((n + y)/d) in y, for x = n/d: the coefficients of p(x + y)
+    times positive powers of d, so of the same signs.  O(deg^2) integer steps."""
+    n, d, deg = x.numerator, x.denominator, len(p) - 1
+    out = [c * d ** (deg - i) for i, c in enumerate(p)]
+    for i in range(deg):
+        for j in range(deg - 1, i - 1, -1):
+            out[j] += n * out[j + 1]
+    return out
+
+
+def _horner(coeffs: list[float], x: float) -> tuple[float, float]:
+    """(q(x), q'(x)) by Horner's rule on q's float coefficients, highest power first."""
+    f = df = 0.0
+    for c in coeffs:
+        df = df * x + f
+        f = f * x + c
+    return f, df
 
 
 # half-widths, in ulps of the float guess, of the brackets tried around it:
@@ -342,10 +360,7 @@ def _float_root(q: Dense, a: Fraction, b: Fraction, left: int) -> float | None:
         return None
     x = lo / 2 + hi / 2
     for _ in range(100):
-        f = df = 0.0
-        for c in coeffs:
-            df = df * x + f
-            f = f * x + c
+        f, df = _horner(coeffs, x)
         if not (isfinite(f) and isfinite(df)):
             return None
         if f == 0:
@@ -363,6 +378,23 @@ def _float_root(q: Dense, a: Fraction, b: Fraction, left: int) -> float | None:
                 return x
         x = step
     return x
+
+
+def _float_top_root(p: Sequence) -> float | None:
+    """A float guess at the largest root of p, or None where a float overflows:
+    Newton's method down from Fujiwara's bound 2 max_k |a_(d-k) / a_d|^(1/k), on
+    g(t) = t^d p(1/t) at t = 1/x, where p/p' = x g / (d g - t g'), so no x^d overflows."""
+    try:  # ValueError: p has no lower coefficient, so no bound
+        coeffs, d = [float(c) for c in p], len(p) - 1  # g's coefficients, highest power of t first
+        x = 2 * exp(max((log(abs(c)) - log(abs(p[-1]))) / k for k, c in enumerate(p[-2::-1], 1) if c))
+        for _ in range(100 * d):  # until it stops descending
+            g, dg = _horner(coeffs, 1 / x)
+            if not (step := x - x * g / (d * g - dg / x)) < x:
+                break
+            x = step
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return None
+    return x if isfinite(x) else None
 
 
 def _ratio(n: int, d: int) -> float:

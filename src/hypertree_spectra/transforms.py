@@ -8,13 +8,15 @@ isomorphic output, so u is pinned to e's lowest vertex id).
 
 For hyperforests of equal order, T1 precedes T2 when
 phi(T1, x) >= phi(T2, x) for every x >= rho(T1), strictly when the
-difference also misses zero at x = rho(T1).  Both questions are decided
-exactly: substituting z = x^r turns the difference into an integer
-polynomial D(z), rho(T1)^r is isolated by bisection on integer Sturm
-counts, vanishing of D there is a gcd computation, and the sign of D
-beyond is read off rational sample points between its isolated roots,
-each sign an integer evaluation (`polynomials.sign_at`).  No verdict
-ever rests on floating point.
+difference also misses zero at x = rho(T1).  In z = x^r the difference is
+an integer polynomial D, and both are decided exactly.  A Descartes
+certificate comes first: p1 (phi(T1) in z) of sign opposite to its leading
+coefficient at a rational c > 0 has an odd number of roots above c, so
+rho(T1)^r > c, and D(c + y) with no negative coefficient and a positive
+constant term is > 0 for y >= 0 by the rule of signs.  Otherwise
+rho(T1)^r is isolated on integer Sturm counts, a gcd tells whether D
+vanishes there, and D's sign beyond is read at rational points between
+its isolated roots (`polynomials.sign_at`).  No verdict rests on floats.
 """
 
 from __future__ import annotations
@@ -128,11 +130,12 @@ def _deflate_rational_root(p: tuple, q: Fraction, sign) -> tuple[tuple, int]:
 def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[bool, bool, dict]:
     """Decide whether the difference stays >= 0 on [rho1, infinity).
 
-    Works in z = x^r: z1 is the top root of p1 and the difference in x is
-    x^trailing_exp * D(x^r).  Returns (weak, boundary_vanishes, witness);
-    the witness records the boundary interval, whether the difference
-    vanishes at rho1, and the sign samples between the isolated roots of
-    D beyond the boundary.
+    In z = x^r, z1 is the top root of p1 and the difference is x^trailing_exp * D(x^r);
+    returns (weak, boundary_vanishes, witness).  Descartes' certificate decides first:
+    p1 of sign opposite to its leading coefficient at c > 0 has an odd number of roots
+    above c, so z1 > c; D(c + y) with no negative coefficient and D(c) > 0 has no root
+    y >= 0 by the rule of signs, so D > 0 on [c, infinity).  The witness records c, else
+    the boundary interval, whether the difference vanishes at rho1, and D's signs beyond.
     """
     witness: dict = {}
     D = poly.trim(D)
@@ -176,6 +179,13 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
         """The first of `poly._dyadic_points(a, b)` where none of `polys`
         vanishes, by this call's sign tests."""
         return next(x for x in poly._dyadic_points(a, b) if all(sign(p, x) for p in polys))
+
+    c = Fraction((poly._float_top_root(p1) or 0.0) * (1 - 2.0**-20))  # just below a float guess at z1
+    if c > 0 and sign(p1, c) == (p1[-1] < 0) - (p1[-1] > 0):
+        shifted = poly.taylor_shift(D, c)
+        if shifted[0] > 0 and min(shifted) >= 0:
+            witness.update(descartes=str(c), boundary_vanishes=False)
+            return True, False, witness
 
     if len(p1) == 1:  # an edgeless hyperforest pins the boundary at z = 0
         marker = ("point", Fraction(0))

@@ -56,7 +56,7 @@ POLYROOT_SHA256 = "8b4d851390a78302a8f6ce1066653d6a842e9d332e9d822835cfbc9886725
 
 # sha256 of compare_order's tags and witness JSON, both directions, on a
 # seeded set of random hypertree and doubled-forest pairs
-ORDER_SHA256 = "970b51bd46b3e9cabb85ca029db8b37f255f12b8ff881f3cdd75c8aac131efdd"
+ORDER_SHA256 = "a615fc8355c0637af71cc40e481c7b7128145735465fa513469293244be24e49"
 
 # sha256 of the stdout of `htspec enumerate 7 2` (23 lines) and
 # `htspec enumerate 5 3` (8 lines)

@@ -98,7 +98,8 @@ def test_isolate_rational_roots_as_points():
         if mk[0] == "point":
             values.append(mk[1])
         else:
-            refined = poly.refine_isolating(p, mk[1], mk[2], Fraction(1, 10**9))
+            q = poly._square_free(poly.sturm_chain(p))  # 2 is a double root
+            refined = poly.refine_isolating(q, mk[1], mk[2], Fraction(1, 10**9))
             values.append(refined[1])
     assert len(values) == 2
     assert min(abs(v - 0) for v in values) < Fraction(1, 10**8)
@@ -141,3 +142,17 @@ def test_sparse_ops():
     assert sp_mul({1: 1, 0: 1}, {1: 1, 0: -1}) == {2: 1, 0: -1}
     assert sp_pow({1: 1, 0: -1}, 2) == {2: 1, 1: -2, 0: 1}
     assert sp_equal({0: 0, 3: 2}, {3: 2})
+
+
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(3), Fraction(-2), Fraction(7, 4), Fraction(-5, 12)])
+def test_taylor_shift(x):
+    """d^deg p((n + y)/d), expanded by hand: sum c_i (n + y)^i d^(deg - i)."""
+    rng = random.Random(11)
+    for deg in range(6):
+        p = [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice((-3, 1, 2))]
+        n, d = x.numerator, x.denominator
+        expected, power = [], [1]
+        for i, c in enumerate(p):
+            expected = poly.add(expected, [c * d ** (deg - i) * a for a in power])
+            power = poly.mul(power, [n, 1])
+        assert poly.trim(poly.taylor_shift(p, x)) == expected

@@ -453,3 +453,57 @@ def test_dominance_near_miss_roots():
     flipper = poly.mul(p1, [-3, 1])
     weak, vanish, _ = _dominates_from(p1, flipper, 0)
     assert weak is False and vanish is True
+
+
+def test_descartes_certificate_agrees_with_sturm_route(monkeypatch):
+    """Every ordered pair of classes in the cells r = 2 m <= 8, r = 3 m <= 6
+    and r = 4 m <= 5 gets the tag of the Sturm route alone, and each call the
+    certificate decides is one the Sturm route calls strict in that direction."""
+    from hypertree_spectra import polynomials as poly
+    from hypertree_spectra import transforms
+
+    cells = [list(enumerate_hypertrees(m, r)) for r, m_max in ((2, 8), (3, 6), (4, 5)) for m in range(1, m_max + 1)]
+    pairs = [(a, b) for cell in cells for a in cell for b in cell if a is not b]
+    dominates, decided = transforms._dominates_from, []
+
+    def spy(*args):
+        out = dominates(*args)
+        if "descartes" in out[2]:
+            decided.append(args)
+        return out
+
+    monkeypatch.setattr(transforms, "_dominates_from", spy)
+    tags = [compare_order(a, b).tag for a, b in pairs]
+    monkeypatch.setattr(transforms, "_dominates_from", dominates)
+    monkeypatch.setattr(poly, "_float_top_root", lambda p: None)  # no guess, no certificate
+    assert tags == [compare_order(a, b).tag for a, b in pairs]
+    assert len(decided) > len(pairs) // 2
+    for args in decided:
+        weak, vanishes, witness = dominates(*args)
+        assert weak and not vanishes and "descartes" not in witness
+
+
+def test_descartes_certificate_falls_back():
+    """A doubled top root, a root of D just above z1 and an edgeless p1 leave
+    the verdict to the Sturm route."""
+    from hypertree_spectra import disjoint_union
+    from hypertree_spectra.transforms import _dominates_from
+
+    edge = Hypergraph(2, 2, [(0, 1)])
+    # (z - 1)^2 against z(z - 2): the difference is 1, but p1 keeps its sign below z1 = 1
+    rel = compare_order(disjoint_union(edge, edge), Hypergraph(2, 4, [(0, 1), (1, 2)]))
+    assert rel.tag == PRECEDES_STRICT and "descartes" not in rel.witness
+    weak, _, witness = _dominates_from([1, -3, 1], [-55, 21], 0)  # 55/21 is a hair above z1
+    assert not weak and "descartes" not in witness
+    weak, vanishes, witness = _dominates_from([1], [0, 1], 0)  # edgeless: z1 = 0
+    assert weak and vanishes and "descartes" not in witness and witness["boundary"] == ["0", "0"]
+
+
+def test_descartes_certificate_decides_at_m150():
+    """A 150-edge hypertree against A(150, nu, 3): the certificate decides at
+    sizes where the Sturm route takes most of a second."""
+    from hypertree_spectra import build_A, matching_number
+
+    T = random_hypertree(150, 3, random.Random(1))
+    rel = compare_order(T, build_A(150, matching_number(T), 3))
+    assert rel.tag == PRECEDES_STRICT and "descartes" in rel.witness
