@@ -107,11 +107,10 @@ def _narrow(q: list[int], lo, hi) -> tuple:
 
 def _bound_top(G: list[int], alpha_bracket: tuple) -> tuple:
     """rho^r of the closed form as a certified top root: B(z) = z^deg(G) G(1 - 1/z),
-    whose top root is 1/(1 - alpha0), and alpha0's bracket mapped by x -> 1/(1 - x)."""
-    B, power = [], [1]
-    for i, c in enumerate(G):  # c (z - 1)^i z^(deg G - i)
-        B = poly.add(B, poly.mul_xpow([c * x for x in power], len(G) - 1 - i))
-        power = poly.mul(power, [-1, 1])
+    whose top root is 1/(1 - alpha0), and alpha0's bracket mapped by x -> 1/(1 - x).
+    With G(1 + y) = sum h_j y^j, B(z) = sum (-1)^j h_j z^(deg G - j)."""
+    shifted = poly.taylor_shift(G, 1)
+    B = poly.trim([-h if j % 2 else h for j, h in enumerate(shifted)][::-1])
     return B, tuple(1 / (1 - x) for x in alpha_bracket)
 
 

@@ -186,10 +186,14 @@ def validate(H: Hypergraph) -> ValidationReport:
         if len(e) != H.r:
             uniform = False
             violations.append(f"edge {e} has {len(e)} vertices, expected {H.r}")
-    # edge pairs sharing two or more vertices meet at a common vertex pair
+    cycle_edge, components, _ = _forest_scan(H)
+    acyclic = cycle_edge is None
+    # edge pairs sharing two or more vertices meet at a common vertex pair;
+    # the later edge of such a pair closes a cycle in the scan, so only
+    # cyclic input is searched for them
     holders: dict[tuple[int, int], list[int]] = {}
     clashes = set()
-    for j, e in enumerate(H.edges):
+    for j, e in enumerate(() if acyclic else H.edges):
         for pair in combinations(e, 2):
             earlier = holders.setdefault(pair, [])
             if earlier:
@@ -199,8 +203,6 @@ def validate(H: Hypergraph) -> ValidationReport:
         a, b = H.edges[i], H.edges[j]
         violations.append(f"edges {a} and {b} share {len(set(a).intersection(b))} vertices")
     linear = not clashes
-    cycle_edge, components, _ = _forest_scan(H)
-    acyclic = cycle_edge is None
     connected = components <= 1
     if not connected:
         violations.append(f"{components} connected components")

@@ -20,7 +20,11 @@ float read off a top root is the double nearest it, decided by exact
 signs: a float Newton guess only proposes a narrow bracket, which two
 exact signs confirm before the bisection starts from it (float search,
 exact certificate, as in Sagraloff & Mehlhorn, J. Symb. Comput. 73,
-2016).  The double comes with the rational bracket it was read from,
+2016).  Before any Sturm chain, the same guess may certify the first
+bracket by Descartes' rule of signs: just below it, at c, one exact sign
+and one Taylor shift p(c + y) with a single sign variation show that p
+has one root above c, a simple one (Collins & Akritas, SYMSAC 1976).
+The double comes with the rational bracket it was read from,
 which holds the top root and no other root; where two such brackets
 overlap, `refine_isolating` narrows them until they part.
 """
@@ -192,18 +196,24 @@ def sign_at(p: Sequence, x) -> int:
     return _sign_scaled(p, x.numerator, x.denominator)
 
 
+def _sign_changes(values: Sequence) -> int:
+    """Sign variations of a sequence of numbers, zeros skipped."""
+    count = last = 0
+    for v in values:
+        s = (v > 0) - (v < 0)
+        if s:
+            count += last == -s  # opposite to the last nonzero sign
+            last = s
+    return count
+
+
 def _variations(chain: list[Dense], x) -> tuple[int, int]:
     """(sign of chain[0] at x, sign variations of the chain at x); the
     count means something only where the sign is nonzero."""
     x = Fraction(x)
     n, d = x.numerator, x.denominator
     signs = [_sign_scaled(f, n, d) for f in chain]
-    count = last = 0
-    for s in signs:
-        if s:
-            count += last == -s  # opposite to the last nonzero sign
-            last = s
-    return signs[0], count
+    return signs[0], _sign_changes(signs)
 
 
 def count_real_roots(chain: list[Dense], a, b) -> int:
@@ -397,6 +407,20 @@ def _float_top_root(p: Sequence) -> float | None:
     return x if isfinite(x) else None
 
 
+def _below_top(p: Sequence) -> tuple[float, Fraction] | None:
+    """(x, c): a float guess x at the largest root of p (`_float_top_root`)
+    and c = x(1 - 2^-20) > 0 where p has the sign opposite to its leading
+    coefficient, by one exact sign, so p has an odd number of roots above c;
+    None where the guess fails or the sign does not confirm."""
+    x = _float_top_root(p)
+    if x is None:
+        return None
+    c = Fraction(x * (1 - 2.0**-20))
+    if c > 0 and sign_at(p, c) == (p[-1] < 0) - (p[-1] > 0):
+        return x, c
+    return None
+
+
 def _ratio(n: int, d: int) -> float:
     """n / d for d > 0 as the nearest double, or +-inf past the largest one."""
     try:
@@ -407,30 +431,39 @@ def _ratio(n: int, d: int) -> float:
 
 def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int, tuple] | None:
     """The double nearest the largest real root of p in (lo, hi), the
-    number of exact sign tests of the square-free part q after isolation
-    (0 for a root met by isolation), and the final rational bracket, an
-    open interval holding no other root of p or (x, x) for a root x that
+    number of exact sign tests of q (below) from the first bracket (0 for
+    a root met by isolation), and the final rational bracket, an open
+    interval holding no other root of p or (x, x) for a root x that
     isolation or a halving lands on; None if no root.
 
-    The root is isolated on p's integer Sturm chain (`isolate_top_root`).
-    A float guess x (`_float_root`) then narrows the isolating interval:
-    the first of x +- w ulp(x), w in `_SEED_ULPS`, that lies inside it and
-    over which q changes sign, by two exact tests, holds the root and
-    replaces it.  Where no width confirms, or the guess fails, the
-    isolating interval stays.  From there, sign bisection on q (as in
+    Without `lo` and `hi`, a Descartes test comes first: at c from
+    `_below_top`, p(c + y) with one sign variation has one root y > 0, so
+    (c, Cauchy bound + 1) holds the top root, a simple one, and no other
+    root.  That is the first bracket, q is p and x is `_below_top`'s
+    guess.  Otherwise (a multiple top root, a guess that is noise) the
+    root is isolated on p's integer Sturm chain (`isolate_top_root`), q is
+    p's square-free part and x is `_float_root`'s guess.
+
+    The first of x +- w ulp(x), w in `_SEED_ULPS`, that lies inside the
+    first bracket and over which q changes sign, by two exact tests,
+    replaces it.  From there, sign bisection on q (as in
     `refine_isolating`) runs until both ends round to the same double.
     Once they round to two adjacent doubles, the sign at the midpoint of
     those doubles decides which is nearer; a root exactly there is
     rounded half to even.  An end past the largest double reads as +-inf.
     """
-    chain = sturm_chain(p)
-    top = isolate_top_root(p, lo, hi, evaluate=partial(_variations, chain))
-    if top is None:
-        return None
-    if top[0] == "point":
-        return float(top[1]), 0, top[1:] * 2
-    _, a, b = top
-    q = _square_free(chain)
+    p = trim(p)
+    below = _below_top(p) if lo is None and hi is None else None
+    if below is not None and _sign_changes(taylor_shift(p, below[1])) == 1:
+        (x, a), b, q = below, cauchy_bound(p) + 1, p
+    else:
+        chain = sturm_chain(p)
+        top = isolate_top_root(p, lo, hi, evaluate=partial(_variations, chain))
+        if top is None:
+            return None
+        if top[0] == "point":
+            return float(top[1]), 0, top[1:] * 2
+        (_, a, b), q, x = top, _square_free(chain), None
     tests = 0
 
     def sign(n: int, d: int) -> int:
@@ -441,7 +474,8 @@ def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int, tuple]
     D = lcm(a.denominator, b.denominator)
     A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
     left = sign(A, D)
-    x = _float_root(q, a, b, left)
+    if x is None:
+        x = _float_root(q, a, b, left)
     if x is not None:
         # x and its ulp over one power-of-two denominator E; x is a
         # multiple of its ulp, so E is the ulp's denominator

@@ -28,9 +28,13 @@ Route two, for hyperforests, reads rho off the matching polynomial:
 substituting z = x^r turns phi into x^(n-nu*r) p(z), and rho is the r-th
 root of the largest real root of p.  That root is read by
 the top-root kernel in `polynomials` that also serves the closed-form
-bounds: exact isolation of the top root on an integer Sturm chain, a
-narrow bracket from a float guess confirmed by exact signs, then sign
-bisection on the square-free part in integer arithmetic until both ends
+bounds.  Its first bracket is certified by Descartes' rule of signs: at
+c just below a float guess, one exact sign of p and one Taylor shift
+p(c + y) with a single sign variation show that p has exactly one root
+above c, a simple one.  Where that fails (a multiple top root, or a
+guess that is noise), the top root is isolated on an integer Sturm
+chain.  A narrow bracket from the float guess, confirmed by exact signs,
+and sign bisection in integer arithmetic then close in until both ends
 round to one double, the double nearest the root; its final rational
 bracket of rho^r is the certificate.  `SpectralResult.iterations` counts
 the power steps of route one and the exact sign tests of route two.
@@ -66,7 +70,8 @@ class PowerIterationError(RuntimeError):
 @dataclass
 class SpectralResult:
     """`iterations`: power steps (power route) or the exact sign tests
-    that took rho^r from its isolating interval to the nearest double
+    that took rho^r from its first bracket, certified by Descartes' rule
+    of signs or else isolated on a Sturm chain, to the nearest double
     (polyroot route, 0 for a rational rho^r met by isolation).
     `certificate`: for polyroot, the final rational bracket of rho^r
     (`polynomials._nearest_top_root`), if H has an edge; for power, the
@@ -238,7 +243,7 @@ def spectral_radius_polyroot(H: Hypergraph) -> SpectralResult:
     """rho of a hyperforest as the r-th root of the top root of p(z).
 
     rho is the r-th root of the double nearest that root, `iterations`
-    the number of exact sign tests it took after isolation, and
+    the number of exact sign tests it took from the first bracket, and
     `certificate` the rational bracket it ended on.  The eigenvector and
     residual fields are left empty.
     """

@@ -180,8 +180,9 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
         vanishes, by this call's sign tests."""
         return next(x for x in poly._dyadic_points(a, b) if all(sign(p, x) for p in polys))
 
-    c = Fraction((poly._float_top_root(p1) or 0.0) * (1 - 2.0**-20))  # just below a float guess at z1
-    if c > 0 and sign(p1, c) == (p1[-1] < 0) - (p1[-1] > 0):
+    below = poly._below_top(p1)  # c just below a float guess at z1, confirmed under z1
+    if below is not None:
+        c = below[1]
         shifted = poly.taylor_shift(D, c)
         if shifted[0] > 0 and min(shifted) >= 0:
             witness.update(descartes=str(c), boundary_vanishes=False)

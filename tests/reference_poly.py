@@ -10,7 +10,8 @@ remainder sequence of `polynomials` is checked; and two exact tests on
 top roots, against which the one comparison of certified top roots in
 `harness._compare` is checked: the order of two top roots from the top
 root of their product, and the equality of a top root with the closed
-form's from a common root of the two polynomials."""
+form's from a common root of the two polynomials, with the closed form's
+polynomial in z summed term by term."""
 
 import math
 from fractions import Fraction
@@ -156,13 +157,18 @@ def matches_bound(z_poly: Sequence, bracket: tuple, G: list, alpha_bracket: tupl
     alpha0 the root of G in `alpha_bracket`: whether gcd(z_poly, B), for
     B(z) = z^deg(G) G(1 - 1/z), has a root in both brackets, the second
     mapped by x -> 1/(1 - x)."""
-    B, power = [], [1]
-    for i, c in enumerate(G):  # c (z - 1)^i z^(deg G - i)
-        B = poly.add(B, poly.mul_xpow([c * x for x in power], len(G) - 1 - i))
-        power = poly.mul(power, [-1, 1])
-    g = poly.poly_gcd(z_poly, B)
+    g = poly.poly_gcd(z_poly, bound_poly(G))
     lo = max(bracket[0], 1 / (1 - alpha_bracket[0]))
     hi = min(bracket[1], 1 / (1 - alpha_bracket[1]))
     if lo == hi:
         return poly.sign_at(g, lo) == 0
     return lo < hi and poly.count_real_roots(poly.sturm_chain(g), lo, hi) > 0
+
+
+def bound_poly(G: list) -> list:
+    """B(z) = z^deg(G) G(1 - 1/z), summed term by term."""
+    B, power = [], [1]
+    for i, c in enumerate(G):  # c (z - 1)^i z^(deg G - i)
+        B = poly.add(B, poly.mul_xpow([c * x for x in power], len(G) - 1 - i))
+        power = poly.mul(power, [-1, 1])
+    return B

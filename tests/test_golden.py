@@ -52,7 +52,7 @@ DEFAULT_SUITE_JSON_SHA256 = "5f67c7bd24697d84b065fdb141aa06783e629624a9a4c0af83c
 
 # sha256 of polyroot's repr(rho) and iterations over every class up to
 # r=2 m=8, r=3 m=6, r=4 m=5; rho^r is the double nearest the exact root
-POLYROOT_SHA256 = "8b4d851390a78302a8f6ce1066653d6a842e9d332e9d822835cfbc98867257d1"
+POLYROOT_SHA256 = "b257bfe06f4adde31de92637df0c4dec48e5852a03f8791c4e0cdc7547fef1f2"
 
 # sha256 of compare_order's tags and witness JSON, both directions, on a
 # seeded set of random hypertree and doubled-forest pairs

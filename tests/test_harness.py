@@ -256,6 +256,22 @@ def _feasible_cells(r_max):
                     yield m, k, r
 
 
+def test_bound_poly_matches_reference():
+    """`_bound_top`'s B(z) = z^deg(G) G(1 - 1/z), read off one Taylor shift
+    of G, is the term-by-term sum on every feasible triple with r = 2..6
+    and m < 40."""
+    cases = 0
+    for r in range(2, 7):
+        for m in range(1, 40):
+            for k in range(1, m + 1):
+                ep = extremal_params(m, k, r)
+                if ep.feasible:
+                    G = _cleared_bound_poly(r, ep.q, ep.s, ep.l)
+                    assert harness._bound_top(G, (Fraction(0), Fraction(0)))[0] == ref.bound_poly(G), (m, k, r)
+                    cases += 1
+    assert cases == 2756
+
+
 def test_compare_top_roots(monkeypatch):
     """Cases whose signs are known, with every mix of kernel and first
     isolating brackets, in both orders."""

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,7 @@ from hypertree_spectra import (
     hyperstar,
     is_isomorphic,
     is_pendent_edge,
+    random_hyperforest,
     relabel,
     single_edge,
     to_json,
@@ -31,6 +33,7 @@ from hypertree_spectra.enumeration import max_edges_guard
 from hypertree_spectra.hypergraph import _forest_code, _incidence_walk
 
 from conftest import path_graph
+import reference_validate
 
 PATH3_R3 = build_Ra(2, 3)  # three 3-edges in a chain
 
@@ -110,6 +113,34 @@ def test_validate_linearity_matches_pairwise_scan():
         assert report.linear == (not expected)
         nonlinear += bool(expected)
     assert nonlinear >= 50
+
+
+def test_validate_matches_reference():
+    """The forest scan runs first and the vertex-pair index is built only on
+    cyclic input; the reports equal those of the reference, which builds the
+    index on every input, on random edge sets (non-uniform and non-linear
+    ones included) and on random hyperforests with an edge added or not."""
+    rng = random.Random(11)
+    kinds = Counter()
+    for _ in range(3000):
+        r = rng.choice((2, 3, 4))
+        if rng.random() < 0.5:
+            n = rng.randint(1, 12)
+            edges = {
+                tuple(sorted(rng.sample(range(n), min(n, rng.choice((r, r, r, r - 1, r + 1))))))
+                for _ in range(rng.randint(0, 8))
+            }
+            H = Hypergraph(r, n, edges)
+        else:
+            H = random_hyperforest([rng.randint(1, 6) for _ in range(rng.randint(1, 3))], r, rng)
+            extra = tuple(sorted(rng.sample(range(H.n), r)))
+            if rng.random() < 0.5 and extra not in H.edges:
+                H = Hypergraph(r, H.n, H.edges + (extra,))
+        report = validate(H)
+        assert report == reference_validate.validate(H), H
+        kinds.update(linear=report.linear, acyclic=report.acyclic, uniform=report.uniform)
+    assert min(kinds["linear"], 3000 - kinds["linear"], kinds["acyclic"], 3000 - kinds["acyclic"]) > 300
+    assert 3000 - kinds["uniform"] > 300
 
 
 def test_validate_flags_disconnected():

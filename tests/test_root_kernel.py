@@ -6,7 +6,9 @@ against the last marker of `isolate_real_roots`, both against the two
 bisection routines of `reference_poly` in markers and in the points they
 evaluate, and the doubles handed out by `_nearest_top_root` (behind
 polyroot and both closed-form bounds) against plain exact bisection,
-with its final brackets checked by exact Sturm counts around them.
+with its final brackets checked by exact Sturm counts around them; and
+polyroot's Descartes-certified first bracket against the Sturm route,
+where it holds and where it falls back.
 """
 
 import math
@@ -17,13 +19,17 @@ from fractions import Fraction
 import pytest
 
 from hypertree_spectra import (
+    Hypergraph,
     InfeasibleParameters,
     disjoint_union,
     enumerate_hypertrees,
     extremal_params,
     matching_counts,
     perfect_matching_bound,
+    random_hyperforest,
+    random_hypertree,
     rho_bound,
+    single_edge,
     spectral_radius_polyroot,
 )
 from hypertree_spectra import polynomials as poly
@@ -302,6 +308,97 @@ def test_isolate_top_root_on_every_class():
         p = _z_poly(H)
         markers = poly.isolate_real_roots(p)
         assert poly.isolate_top_root(p) == (markers[-1] if markers else None), H.edges
+
+
+def _spy_sturm_chain(monkeypatch) -> list:
+    """The polynomials `poly.sturm_chain` is called on from here on."""
+    calls, chain = [], poly.sturm_chain
+    monkeypatch.setattr(poly, "sturm_chain", lambda p: calls.append(p) or chain(p))
+    return calls
+
+
+def _seeded_forests():
+    """Seeded random hypertrees and two-tree hyperforests with up to 100 edges."""
+    rng = random.Random(7)
+    forests = []
+    for _ in range(30):
+        r, m = rng.choice((2, 3, 4)), rng.randint(2, 100)
+        k = rng.randint(1, m - 1)
+        forests.append(random_hypertree(m, r, rng) if rng.random() < 0.5 else random_hyperforest([k, m - k], r, rng))
+    return forests
+
+
+def test_certificate_agrees_with_sturm_route(monkeypatch):
+    """On every class up to the guards and on seeded random hyperforests up
+    to m = 100, the Descartes test certifies polyroot's first bracket with
+    no Sturm chain (the fallback runs on none of them); rho is the same
+    bytes as with the test switched off, and each certified bracket
+    (c, Cauchy bound + 1) holds one root of p by Sturm count, the final
+    bracket one root and none above it."""
+    forests = _guarded_classes() + _seeded_forests()
+    polys = [_z_poly(H) for H in forests]
+    calls = _spy_sturm_chain(monkeypatch)
+    fallbacks, rhos, tops = 0, [], []
+    for H, p in zip(forests, polys):
+        calls.clear()
+        rhos.append(spectral_radius_polyroot(H).rho)
+        tops.append(poly._nearest_top_root(p))
+        fallbacks += bool(calls)
+    assert fallbacks == 0
+    monkeypatch.undo()
+    for p, top in zip(polys, tops):
+        _, c = poly._below_top(p)
+        assert poly.count_real_roots(poly.sturm_chain(p), c, poly.cauchy_bound(p) + 1) == 1
+        _assert_bracket(p, top)
+    monkeypatch.setattr(poly, "_below_top", lambda p: None)
+    assert [spectral_radius_polyroot(H).rho for H in forests] == rhos
+
+
+def test_certificate_falls_back(monkeypatch):
+    """A doubled top root, three roots so close that c falls below all of
+    them, a float guess far above the root (as the guesses at m >= 200
+    are) and a polynomial with no root take the Sturm route to the same
+    double; one edge keeps its point certificate (1, 1)."""
+    calls = _spy_sturm_chain(monkeypatch)
+    p = [1]
+    # 18 and two roots within 18 * 2^-21 below it
+    for root in (Fraction(18), Fraction(37748727, 2**21), Fraction(2415918519, 2**27)):
+        p = poly.mul(p, [-root.numerator, root.denominator])
+    _, c = poly._below_top(p)  # p confirms c: three roots above it
+    assert poly._sign_changes(poly.taylor_shift(p, c)) == 3
+    top = poly._nearest_top_root(p)
+    assert calls and top[0] == _plain_nearest(p) == 18.0
+    _assert_bracket(p, top)
+    calls.clear()
+    T = random_hypertree(8, 3, random.Random(3))
+    alone = spectral_radius_polyroot(T)
+    assert not calls
+    doubled = spectral_radius_polyroot(disjoint_union(T, T))
+    assert calls and doubled.rho == alone.rho
+    calls.clear()
+    assert poly._nearest_top_root([1, 0, 1]) is None and calls  # z^2 + 1
+    assert spectral_radius_polyroot(Hypergraph(3, 4)).rho == 0.0  # edgeless: no kernel call
+    for r in range(2, 7):
+        calls.clear()
+        res = spectral_radius_polyroot(single_edge(r))
+        assert not calls and res.rho == 1.0 and res.certificate == (Fraction(1), Fraction(1))
+    guess = poly._float_top_root
+    monkeypatch.setattr(poly, "_float_top_root", lambda p: 2 * guess(p))
+    calls.clear()
+    assert spectral_radius_polyroot(T).rho == alone.rho and calls
+
+
+def test_polyroot_at_150_edges_builds_no_sturm_chain(monkeypatch):
+    """At m = 150 the certificate still holds: polyroot calls no
+    `sturm_chain`, and its bracket holds the top root by Sturm count."""
+    T = random_hypertree(150, 3, random.Random(1))
+    p = _z_poly(T)
+    calls = _spy_sturm_chain(monkeypatch)
+    res, top = spectral_radius_polyroot(T), poly._nearest_top_root(p)
+    assert calls == []
+    monkeypatch.undo()
+    assert res.rho == top[0] ** (1 / 3)
+    _assert_bracket(p, top)
 
 
 def test_remainder_sequence_matches_reference_loops_on_every_class():
