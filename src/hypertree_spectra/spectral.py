@@ -12,11 +12,13 @@ Route one is shifted nonnegative-tensor power iteration on B = A + I
 (diagonal shift sigma = 1 forces convergence on bipartite-flavored
 structures), with the Collatz-Wielandt bracket
 min_i (Bx)_i / x_i^(r-1) <= rho(B) <= max_i (...) driving the stopping
-rule.  The bracket holds rho(B) at every positive x, so each step may
-take the type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49,
-2011) of the map g(x) = normalise((B x)^(1/(r-1))) over its last `DEPTH`
-differences, if finite and positive, else the plain step g(x) with the
-history cleared; the certificate is the intersection of every bracket.
+rule.  The bracket holds rho(B) at every positive x, so every step
+pushes its difference and every `PERIOD`-th one (periodic Pulay mixing,
+Banerjee et al., Chem. Phys. Lett. 647, 2016) takes the type-II Anderson
+mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) of the map
+g(x) = normalise((B x)^(1/(r-1))) over its last `DEPTH` differences, if
+finite and positive, else g(x) with the history cleared; the other steps
+take g(x).  The certificate is the intersection of every bracket.
 Each connected component gets r - 1 index columns, built before its
 first step; a step multiplies the gathers of x over them in place and
 scatters the products onto the vertices with one `np.bincount`.  A
@@ -54,6 +56,7 @@ from .matching import MatchingProfile, _counts, _require_uniform_linear
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
 DEPTH = 5  # differences kept by the Anderson mixing of the power route
+PERIOD = 3  # the power route mixes only at every PERIOD-th step
 STALL = 5000  # steps the power route's bracket may go without narrowing
 
 
@@ -195,6 +198,8 @@ def _power_connected(H: Hypergraph, tol: float, max_iter: int) -> tuple:
                 gram[s][j] = gram[j][s] = v
         f_prev, g_prev = f, g
         x = g
+        if it % PERIOD:
+            continue
         gamma = _solve(gram[:k], np.einsum("ij,j->i", df[:k], f).tolist()) if kept else None
         if gamma is not None:
             mixed = g - np.einsum("i,ij->j", gamma, dg[:k])

@@ -6,7 +6,7 @@ residual, and connectivity read from a fresh `connected_components`."""
 import numpy as np
 
 from hypertree_spectra import PowerIterationError, connected_components, restrict
-from hypertree_spectra.spectral import DEPTH, SpectralResult, _solve
+from hypertree_spectra.spectral import DEPTH, PERIOD, SpectralResult, _solve
 
 
 def _adjacency(H):
@@ -69,6 +69,8 @@ def _power_connected(H, tol, max_iter):
                 gram[s][j] = gram[j][s] = v
         f_prev, g_prev = f, g
         x = g
+        if it % PERIOD:
+            continue
         gamma = _solve(gram[:k], np.einsum("ij,j->i", df[:k], f).tolist()) if kept else None
         if gamma is not None:
             mixed = g - np.einsum("i,ij->j", gamma, dg[:k])

@@ -78,7 +78,7 @@ def test_power_bracket_monotone():
             spectral_radius_power(H, max_iter=max_iter)
         brackets.append(info.value.bracket)
     brackets.append(res.certificate)
-    assert len(brackets) == res.iterations == 9
+    assert len(brackets) == res.iterations == 10
     for (lo1, hi1), (lo2, hi2) in zip(brackets, brackets[1:]):
         assert lo2 >= lo1 - 1e-12
         assert hi2 <= hi1 + 1e-12
@@ -314,18 +314,42 @@ def test_power_failure_reports_last_bracket(monkeypatch):
     assert lo <= spectral_radius_polyroot(H).rho <= hi
 
 
+def _loose_path(L, r):
+    """The r-uniform loose path with L edges, consecutive edges sharing one vertex."""
+    return Hypergraph(r, L * (r - 1) + 1, [range(i * (r - 1), i * (r - 1) + r) for i in range(L)])
+
+
 def test_power_deep_path_converges():
-    """The 600-edge loose paths for r = 2 and 3 close their brackets with
-    the defaults, on the closed form (2 cos(pi / 602))^(2/r): the r-uniform
-    loose path is the r-th power hypergraph of the ordinary one.  The form
-    shares no code with either route."""
-    for r in (2, 3):
-        H = Hypergraph(r, 600 * (r - 1) + 1, [range(i * (r - 1), i * (r - 1) + r) for i in range(600)])
-        res = spectral_radius_power(H)
-        want = (2 * math.cos(math.pi / 602)) ** (2 / r)
-        assert abs(res.rho - want) <= 1e-9, r
-        lo, hi = res.certificate
-        assert lo <= want <= hi, r
+    """The 600- and 1000-edge loose paths for r = 2, 3 and 4 close their
+    brackets with the defaults, on the closed form (2 cos(pi / (L + 2)))^(2/r):
+    the r-uniform loose path is the r-th power hypergraph of the ordinary
+    one.  The form shares no code with either route.  The r = 4 paths need
+    the periodic mixing: mixed at every step, their brackets stall."""
+    for L in (600, 1000):
+        for r in (2, 3, 4):
+            res = spectral_radius_power(_loose_path(L, r))
+            want = (2 * math.cos(math.pi / (L + 2))) ** (2 / r)
+            assert abs(res.rho - want) <= 1e-9, (L, r)
+            lo, hi = res.certificate
+            assert lo <= want <= hi, (L, r)
+
+
+def test_power_mixes_every_period_th_step(monkeypatch):
+    """The Gram system is solved only at every `PERIOD`-th step, on a long
+    path run to convergence and on one stopped at max_iter, whose bracket
+    still holds polyroot's rho."""
+    calls = []
+    solve = spectral._solve
+    monkeypatch.setattr(spectral, "_solve", lambda a, b: calls.append(len(b)) or solve(a, b))
+    H = _loose_path(100, 3)
+    res = spectral_radius_power(H)
+    assert 0 < len(calls) <= res.iterations // spectral.PERIOD + 1
+    calls.clear()
+    with pytest.raises(PowerIterationError) as info:
+        spectral_radius_power(H, max_iter=res.iterations // 2)
+    assert 0 < len(calls) <= info.value.iterations // spectral.PERIOD + 1
+    lo, hi = info.value.bracket
+    assert lo <= spectral_radius_polyroot(H).rho <= hi
 
 
 def test_power_stall_raises_with_bracket():
