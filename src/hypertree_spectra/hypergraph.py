@@ -12,14 +12,14 @@ Acyclicity is decided on the bipartite vertex-edge incidence graph: a
 linear hypergraph is acyclic exactly when that graph is a forest.  One
 pass peeling the incidence forest's leaves in rounds roots each incidence
 tree at its center, the last node peeled, and lists parents first; it
-drives both the matching-count DP in `matching` and one AHU pass,
-`_forest_code`, which gives everything read off the forest's shape: the
-canonical code (and with it isomorphism tests), the order of the
-automorphism group, and the vertex orbits.  The center is unique: every
-edge holds at least two vertices, so every leaf of an incidence tree is
-a vertex node, any two leaves lie at even distance in the bipartite
-incidence graph, and the diameter is even.  A cycle is never peeled, so
-the same pass tells `_forest_code` that its input is cyclic.
+drives both the matching-count DP in `matching` and `_forest_code`, one
+AHU pass over per-node lists of child codes, which gives everything read
+off the forest's shape: the canonical code (and with it isomorphism
+tests), the order of the automorphism group, and the vertex orbits.  The
+center is unique: every edge holds at least two vertices, so every leaf
+of an incidence tree is a vertex node, any two leaves lie at even
+distance in the bipartite incidence graph, and the diameter is even.  A
+cycle is never peeled, so the same pass tells `_forest_code` of it.
 All operations are pure functions over immutable values.
 """
 
@@ -300,25 +300,6 @@ def connected_components(H: Hypergraph) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _merge(parts: list[tuple[str, int]]) -> tuple[str, int]:
-    """Sorted concatenation of sibling codes and the order of their automorphism group.
-
-    Siblings are permuted among themselves only when their codes agree, so
-    each block of k equal codes contributes k!.
-    """
-    parts.sort()
-    aut = 1
-    run = 1
-    for i, (code, sub_aut) in enumerate(parts):
-        aut *= sub_aut
-        if i and code == parts[i - 1][0]:
-            run += 1
-            aut *= run
-        else:
-            run = 1
-    return "".join(code for code, _ in parts), aut
-
-
 def _incidence_walk(H: Hypergraph) -> tuple[list[int], list[int]]:
     """Nodes of the incidence forest, parents first, and the parent of each.
 
@@ -364,33 +345,47 @@ def _forest_code(H: Hypergraph) -> tuple[CanonicalCode, int, list[int]]:
     hyperforest, all from one AHU pass over its incidence forest.  Cyclic
     input raises ValueError: the walk leaves the nodes of a cycle unpeeled.
 
-    Each incidence tree is encoded children before parents from its center;
-    the component codes are sorted and concatenated behind an `r{r}:`
-    prefix.  Within a node, and among the components, each block of k
-    identical subtrees multiplies the group order by k!.  Every
-    automorphism maps the center of each incidence tree to the center of
-    its image, so two nodes share an orbit iff the chains of subtree codes
-    on their paths from the root agree: a node's key is (its parent's key,
-    its own code), and roots key on their code alone, so components with
-    equal codes interchange.
+    The pass runs children before parents over lists of child codes
+    indexed by node id, the forest root -1 in the last slot.  Reached, a
+    node sorts its list and wraps it as `v(...)` or `e(...)`; a node with
+    no child is a leaf, `v()` (`e()` for a one-vertex edge).  The root's
+    sorted list, the component codes, follows an `r{r}:` prefix.  Siblings
+    permute only when their codes agree, so the group order is the
+    product, over every list, of k! for each block of k equal codes.
+    Every automorphism maps the center of each incidence tree to the
+    center of its image, so two nodes share an orbit iff the chains of
+    subtree codes on their paths from the root agree: a node's key is (its
+    parent's key, its own code), and roots key on their code alone, so
+    components with equal codes interchange.
     """
     order, parent = _incidence_walk(H)
-    if len(order) < len(parent):
+    n, size = H.n, len(parent)
+    if len(order) < size:
         raise ValueError("canonical code and automorphism count are defined for hyperforests only")
-    codes = [""] * len(parent)
-    # encoded subtrees awaiting their parent; tree roots wait under -1
-    below: dict[int, list[tuple[str, int]]] = {}
-    for x in reversed(order):
-        code, aut = _merge(below.pop(x, []))
-        code = codes[x] = ("v(" if x < H.n else "e(") + code + ")"
-        below.setdefault(parent[x], []).append((code, aut))
-    code, aut = _merge(below.pop(-1, []))
-    key = [-1] * len(parent)
+    codes, below, aut = [""] * size, [None] * size + [[]], 1
+    for x in [*reversed(order), -1]:
+        sib = below[x]
+        if sib is None:
+            code = "v()" if x < n else "e()"
+        else:
+            sib.sort()
+            run = 1
+            for i in range(1, len(sib)):
+                run = run + 1 if sib[i] == sib[i - 1] else 1
+                aut *= run
+            if x < 0:  # the forest root: its list is the component codes
+                break
+            code = ("v(" if x < n else "e(") + "".join(sib) + ")"
+        codes[x] = code
+        if below[p := parent[x]] is None:
+            below[p] = [code]
+        else:
+            below[p].append(code)
+    key = [-1] * (size + 1)
     ids: dict[tuple[int, str], int] = {}
     for x in order:
-        p = parent[x]
-        key[x] = ids.setdefault((key[p] if p >= 0 else -1, codes[x]), len(ids))
-    return f"r{H.r}:{code}".encode("ascii"), aut, key[: H.n]
+        key[x] = ids.setdefault((key[parent[x]], codes[x]), len(ids))
+    return f"r{H.r}:{''.join(below[-1])}".encode("ascii"), aut, key[:n]
 
 
 def canonical_code(H: Hypergraph) -> CanonicalCode:

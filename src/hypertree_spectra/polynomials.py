@@ -446,15 +446,18 @@ def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int, tuple]
 
     The first of x +- w ulp(x), w in `_SEED_ULPS`, that lies inside the
     first bracket and over which q changes sign, by two exact tests,
-    replaces it.  From there, sign bisection on q (as in
-    `refine_isolating`) runs until both ends round to the same double.
+    replaces it.  Where none does on the Descartes route, the upper end
+    becomes the first u = x(1 + 2^-20 4^j), j = 0, 1, ..., below it where
+    one test gives p its leading sign: only one root lies above c, so it
+    lies below u (or is u, at a zero sign).  From there, sign bisection on
+    q (as in `refine_isolating`) runs until both ends round to the same double.
     Once they round to two adjacent doubles, the sign at the midpoint of
     those doubles decides which is nearer; a root exactly there is
     rounded half to even.  An end past the largest double reads as +-inf.
     """
     p = trim(p)
     below = _below_top(p) if lo is None and hi is None else None
-    if below is not None and _sign_changes(taylor_shift(p, below[1])) == 1:
+    if descartes := below is not None and _sign_changes(taylor_shift(p, below[1])) == 1:
         (x, a), b, q = below, cauchy_bound(p) + 1, p
     else:
         chain = sturm_chain(p)
@@ -488,6 +491,16 @@ def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int, tuple]
             if sign(L, E) == left and sign(R, E) == -left:
                 A, B, D = L, R, E
                 break
+        else:  # no width confirmed
+            t = 2.0**-20
+            while descartes and (u := x * (1 + t)) < b:
+                U, UD = u.as_integer_ratio()
+                if (s := sign(U, UD)) == 0:
+                    return u, tests, (Fraction(u),) * 2
+                if s == -left:
+                    A, B, D = A * UD, U * D, D * UD
+                    break
+                t *= 4
     fa, fb = _ratio(A, D), _ratio(B, D)  # only the end that moves needs a new division
     while fa != fb:
         if nextafter(fa, fb) == fb:

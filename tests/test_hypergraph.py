@@ -33,6 +33,7 @@ from hypertree_spectra.enumeration import max_edges_guard
 from hypertree_spectra.hypergraph import _forest_code, _incidence_walk
 
 from conftest import path_graph
+import reference_codes
 import reference_validate
 
 PATH3_R3 = build_Ra(2, 3)  # three 3-edges in a chain
@@ -364,6 +365,28 @@ def test_canonical_code_one_vertex_edge():
     assert canonical_code(H) == b"r3:e(v()v()v(e()))v()"
     assert automorphism_count(H) == 2
     assert canonical_code(Hypergraph(3, 1, [(0,)])) == b"r3:e(v())"
+
+
+def test_forest_code_matches_reference():
+    """The array pass gives the same (code, automorphism order, orbit ids)
+    as the `_merge`-based pass of `reference_codes` on every class up to
+    the guards (r = 2..6), seeded hyperforests with isolated vertices
+    scattered in, edgeless input, both one-vertex-edge inputs and a
+    600-edge path."""
+    cases = [H for r in range(2, 7) for m in range(1, max_edges_guard(r) + 1) for H in enumerate_hypertrees(m, r)]
+    assert len(cases) == 334
+    rng = random.Random(25)
+    for _ in range(60):
+        r = rng.randint(2, 5)
+        F = random_hyperforest([rng.randint(1, 12) for _ in range(rng.randint(1, 4))], r, rng)
+        F = disjoint_union(F, Hypergraph(r, rng.randint(0, 5)))
+        perm = list(range(F.n))
+        rng.shuffle(perm)
+        cases.append(relabel(F, perm))
+    cases += [Hypergraph(r, n) for r in (2, 3) for n in (0, 1, 4)]
+    cases += [Hypergraph(3, 4, [(0,), (0, 1, 2)]), Hypergraph(3, 1, [(0,)]), path_graph(601)]
+    for H in cases:
+        assert _forest_code(H) == reference_codes.forest_code(H), H.edges
 
 
 def _brute_force_centers(H):

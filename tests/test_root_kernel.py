@@ -390,7 +390,9 @@ def test_certificate_falls_back(monkeypatch):
 
 def test_polyroot_at_150_edges_builds_no_sturm_chain(monkeypatch):
     """At m = 150 the certificate still holds: polyroot calls no
-    `sturm_chain`, and its bracket holds the top root by Sturm count."""
+    `sturm_chain`, and its bracket holds the top root by Sturm count.  No
+    seed width confirms there, and the upper end widened above the guess
+    keeps the halvings to about 50: the same double as the Sturm route."""
     T = random_hypertree(150, 3, random.Random(1))
     p = _z_poly(T)
     calls = _spy_sturm_chain(monkeypatch)
@@ -399,6 +401,29 @@ def test_polyroot_at_150_edges_builds_no_sturm_chain(monkeypatch):
     monkeypatch.undo()
     assert res.rho == top[0] ** (1 / 3)
     _assert_bracket(p, top)
+    a, b = top[2]
+    assert top[1] <= 60 and poly.sign_at(p, a) == -poly.sign_at(p, b) != 0
+    monkeypatch.setattr(poly, "_below_top", lambda p: None)
+    assert poly._nearest_top_root(p)[0] == top[0]
+
+
+def test_descartes_bracket_widens_above_a_far_guess(monkeypatch):
+    """With the guess at 8 and no seed width holding the root, the upper
+    end widens to 8(1 + 2^-20 4^j): at j = 0 it is the root itself
+    (a zero sign), at j = 2 it is the first end above 8 + 2^-14 + 2^-40,
+    and a root past every end below the Cauchy bound keeps that bound."""
+    monkeypatch.setattr(poly, "_float_top_root", lambda p: 8.0)
+    root = Fraction(8) + Fraction(1, 2**17)
+    # (root - z)(z - 1), leading sign -1: the left sign, two per seed width, u_0
+    top = poly._nearest_top_root(poly.mul([root.numerator, -root.denominator], [-1, 1]))
+    assert top == (8 + 2.0**-17, 1 + 2 * len(poly._SEED_ULPS) + 1, (root, root))
+    for root in (Fraction(8) + Fraction(1, 2**14) + Fraction(1, 2**40), Fraction(10**6) + Fraction(1, 3)):
+        p = poly.mul([-root.numerator, root.denominator], [-1, 1])
+        below, ceiling = poly._below_top(p), poly.cauchy_bound(p) + 1
+        assert below is not None and poly._sign_changes(poly.taylor_shift(p, below[1])) == 1
+        top = poly._nearest_top_root(p)
+        assert top[0] == _plain_nearest(p) == float(root)
+        _assert_bracket(p, top)
 
 
 def test_remainder_sequence_matches_reference_loops_on_every_class():
