@@ -22,7 +22,7 @@ from .enumeration import _classes, enumerate_T_mkr
 from .harness import SuiteConfig, default_config, run_suite, verify_extremal
 from .hypergraph import load, save, to_json_dict, validate
 from .matching import _counts, matching_polynomial
-from .spectral import PowerIterationError, spectral_radius_polyroot, spectral_radius_power
+from .spectral import DEFAULT_TOL, PowerIterationError, spectral_radius_polyroot, spectral_radius_power
 from .transforms import compare_order, majorization_chain
 
 
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rho", help="spectral radius of a hypergraph file")
     p.add_argument("file")
     p.add_argument("--method", choices=["power", "poly", "both"], default="both")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(fn=_cmd_rho)
 
     p = sub.add_parser("extremal", help="emit the extremal hypertree A(m, k, r)")

@@ -12,8 +12,9 @@ maximum root in (0, 1) of
 
 which specializes, for hypertrees with a perfect matching, to
 r x^r = (m - 1)(1 - x): 0 = kr = m(r-1) + 1 = -(m-1) mod r, so r | m - 1,
-s = l = 0 and q = (m-1)/r.  The bound takes alpha0 from exact root
-isolation on an integer polynomial, as the double nearest the root.
+s = l = 0 and q = (m-1)/r.  The bound reads alpha0 off an integer
+polynomial as the double nearest its top root, by the same route as
+polyroot's rho^r (`polynomials._nearest_top_root`).
 """
 
 from __future__ import annotations
@@ -188,7 +189,10 @@ def rho_bound(m: int, k: int, r: int) -> BoundResult:
     alpha0 is the maximum root in (0, 1) of
     g(a) = a^(r-1) (1/(1-a) - a^(-s) - l) - q, which is the largest root
     in (0, 1) of the integer polynomial G(a) = a^s (1-a) g(a) with its
-    power of a divided out.  rho = (1/(1-alpha0))^(1/r).
+    power of a divided out.  rho = (1/(1-alpha0))^(1/r).  No real root of
+    G lies at or above 1: there G(a) = a^(r-1+s) + (a-1)(a^(r-1) +
+    l a^(r-1+s) + q a^s) >= 1, and dividing out a power of a keeps that
+    sign.  So alpha0 is G's largest real root, read with no interval.
     """
     p = extremal_params(m, k, r)
     if not p.feasible:
@@ -197,7 +201,7 @@ def rho_bound(m: int, k: int, r: int) -> BoundResult:
         return BoundResult(0.0, 1.0, (Fraction(0), Fraction(0)))
     G = _cleared_bound_poly(r, p.q, p.s, p.l)
     G = G[next(i for i, c in enumerate(G) if c) :]
-    alpha0, _, bracket = poly._nearest_top_root(G, 0, 1)
+    alpha0, _, bracket = poly._nearest_top_root(G)
     return BoundResult(alpha0, (1.0 / (1.0 - alpha0)) ** (1.0 / r), bracket)
 
 

@@ -15,18 +15,23 @@ so no polynomial is ever divided over the rationals.
 One lazy bisection, kept on a stack with no recursion, yields the
 isolating markers from the largest root down: all of them for
 `isolate_real_roots`, only the first for `isolate_top_root`, which so
-halves just the intervals on the way down to the top root.  The one
-float read off a top root is the double nearest it, decided by exact
-signs: a float Newton guess only proposes a narrow bracket, which two
+halves just the intervals on the way down to the top root.
+
+Every top root, polyroot's and the closed-form bounds', takes one route
+(`_nearest_top_root`) to the one float read off it: the double nearest
+it, decided by exact signs.  First a float Newton guess may certify the
+first bracket by Descartes' rule of signs: just below it, at c, one
+exact sign and one Taylor shift p(c + y) with a single sign variation
+show that p has one root above c, a simple one (Collins & Akritas,
+SYMSAC 1976).  The same guess then proposes a narrow bracket, which two
 exact signs confirm before the bisection starts from it (float search,
 exact certificate, as in Sagraloff & Mehlhorn, J. Symb. Comput. 73,
-2016).  Before any Sturm chain, the same guess may certify the first
-bracket by Descartes' rule of signs: just below it, at c, one exact sign
-and one Taylor shift p(c + y) with a single sign variation show that p
-has one root above c, a simple one (Collins & Akritas, SYMSAC 1976).
-The double comes with the rational bracket it was read from,
-which holds the top root and no other root; where two such brackets
-overlap, `refine_isolating` narrows them until they part.
+2016).  Where the certificate fails (a multiple top root, a guess that
+is noise), the root is isolated on the integer Sturm chain and halved
+from there with no float guess.  The double comes with the rational
+bracket it was read from, which holds the top root and no other root;
+where two such brackets overlap, `refine_isolating` narrows them until
+they part.
 """
 
 from __future__ import annotations
@@ -357,39 +362,6 @@ def _horner(coeffs: list[float], x: float) -> tuple[float, float]:
 _SEED_ULPS = (2**2, 2**8, 2**16, 2**26)
 
 
-def _float_root(q: Dense, a: Fraction, b: Fraction, left: int) -> float | None:
-    """A float near the one root of q in (a, b), where q has the sign
-    `left` at a: safeguarded Newton-bisection on a float copy of q.  None
-    where a coefficient or an end overflows a float, or q or q' at an
-    iterate is not finite.  Only a guess: `_nearest_top_root` checks it
-    by exact signs."""
-    try:
-        coeffs = [float(c) for c in reversed(q)]
-        lo, hi = float(a), float(b)
-    except OverflowError:
-        return None
-    x = lo / 2 + hi / 2
-    for _ in range(100):
-        f, df = _horner(coeffs, x)
-        if not (isfinite(f) and isfinite(df)):
-            return None
-        if f == 0:
-            return x
-        if (f > 0) == (left > 0):
-            lo = x
-        else:
-            hi = x
-        step = x - f / df if df else inf  # a flat step bisects
-        if step == x:
-            return x
-        if not lo < step < hi:
-            step = lo / 2 + hi / 2
-            if not lo < step < hi:
-                return x
-        x = step
-    return x
-
-
 def _float_top_root(p: Sequence) -> float | None:
     """A float guess at the largest root of p, or None where a float overflows:
     Newton's method down from Fujiwara's bound 2 max_k |a_(d-k) / a_d|^(1/k), on
@@ -429,39 +401,39 @@ def _ratio(n: int, d: int) -> float:
         return inf if n > 0 else -inf
 
 
-def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int, tuple] | None:
-    """The double nearest the largest real root of p in (lo, hi), the
-    number of exact sign tests of q (below) from the first bracket (0 for
-    a root met by isolation), and the final rational bracket, an open
-    interval holding no other root of p or (x, x) for a root x that
-    isolation or a halving lands on; None if no root.
+def _nearest_top_root(p: Sequence) -> tuple[float, int, tuple] | None:
+    """The double nearest the largest real root of p, the number of exact
+    sign tests of q (below) from the first bracket (0 for a root met by
+    isolation), and the final rational bracket, an open interval holding
+    no other root of p or (x, x) for a root x that isolation or a halving
+    lands on; None if no root.
 
-    Without `lo` and `hi`, a Descartes test comes first: at c from
-    `_below_top`, p(c + y) with one sign variation has one root y > 0, so
-    (c, Cauchy bound + 1) holds the top root, a simple one, and no other
-    root.  That is the first bracket, q is p and x is `_below_top`'s
-    guess.  Otherwise (a multiple top root, a guess that is noise) the
-    root is isolated on p's integer Sturm chain (`isolate_top_root`), q is
-    p's square-free part and x is `_float_root`'s guess.
+    A Descartes test comes first: at c from `_below_top`, p(c + y) with
+    one sign variation has one root y > 0, so (c, Cauchy bound + 1) holds
+    the top root, a simple one, and no other root.  That is the first
+    bracket, q is p and x is `_below_top`'s guess.  Otherwise (a multiple
+    top root, a guess that is noise) the root is isolated on p's integer
+    Sturm chain (`isolate_top_root`), q is p's square-free part, and the
+    halving starts from the isolating interval with no float guess.
 
-    The first of x +- w ulp(x), w in `_SEED_ULPS`, that lies inside the
-    first bracket and over which q changes sign, by two exact tests,
-    replaces it.  Where none does on the Descartes route, the upper end
-    becomes the first u = x(1 + 2^-20 4^j), j = 0, 1, ..., below it where
-    one test gives p its leading sign: only one root lies above c, so it
-    lies below u (or is u, at a zero sign).  From there, sign bisection on
-    q (as in `refine_isolating`) runs until both ends round to the same double.
+    On the Descartes route, the first of x +- w ulp(x), w in `_SEED_ULPS`,
+    that lies inside the first bracket and over which q changes sign, by
+    two exact tests, replaces it.  Where none does, the upper end becomes
+    the first u = x(1 + 2^-20 4^j), j = 0, 1, ..., below it where one test
+    gives p its leading sign: only one root lies above c, so it lies below
+    u (or is u, at a zero sign).  From there, sign bisection on q (as in
+    `refine_isolating`) runs until both ends round to the same double.
     Once they round to two adjacent doubles, the sign at the midpoint of
     those doubles decides which is nearer; a root exactly there is
     rounded half to even.  An end past the largest double reads as +-inf.
     """
     p = trim(p)
-    below = _below_top(p) if lo is None and hi is None else None
-    if descartes := below is not None and _sign_changes(taylor_shift(p, below[1])) == 1:
+    below = _below_top(p)
+    if below is not None and _sign_changes(taylor_shift(p, below[1])) == 1:
         (x, a), b, q = below, cauchy_bound(p) + 1, p
     else:
         chain = sturm_chain(p)
-        top = isolate_top_root(p, lo, hi, evaluate=partial(_variations, chain))
+        top = isolate_top_root(p, evaluate=partial(_variations, chain))
         if top is None:
             return None
         if top[0] == "point":
@@ -477,9 +449,7 @@ def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int, tuple]
     D = lcm(a.denominator, b.denominator)
     A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
     left = sign(A, D)
-    if x is None:
-        x = _float_root(q, a, b, left)
-    if x is not None:
+    if x is not None:  # the Descartes route
         # x and its ulp over one power-of-two denominator E; x is a
         # multiple of its ulp, so E is the ulp's denominator
         (X, XD), (U, E) = x.as_integer_ratio(), ulp(x).as_integer_ratio()
@@ -493,7 +463,7 @@ def _nearest_top_root(p: Sequence, lo=None, hi=None) -> tuple[float, int, tuple]
                 break
         else:  # no width confirmed
             t = 2.0**-20
-            while descartes and (u := x * (1 + t)) < b:
+            while (u := x * (1 + t)) < b:
                 U, UD = u.as_integer_ratio()
                 if (s := sign(U, UD)) == 0:
                     return u, tests, (Fraction(u),) * 2

@@ -38,7 +38,7 @@ def perfect_matching_reference(m: int, r: int) -> tuple:
     polynomial r a^r + (m-1) a - (m-1) itself, as the bound once solved it."""
     if m == 1:
         return 0.0, 1.0, (Fraction(0), Fraction(0))
-    alpha0, _, bracket = _nearest_top_root([1 - m, m - 1] + [0] * (r - 2) + [r], 0, 1)
+    alpha0, _, bracket = _nearest_top_root([1 - m, m - 1] + [0] * (r - 2) + [r])
     return alpha0, (1.0 / (1.0 - alpha0)) ** (1.0 / r), bracket
 
 

@@ -4,11 +4,12 @@
 `refine_isolating` against bisection on Sturm counts, `isolate_top_root`
 against the last marker of `isolate_real_roots`, both against the two
 bisection routines of `reference_poly` in markers and in the points they
-evaluate, and the doubles handed out by `_nearest_top_root` (behind
-polyroot and both closed-form bounds) against plain exact bisection,
-with its final brackets checked by exact Sturm counts around them; and
-polyroot's Descartes-certified first bracket against the Sturm route,
-where it holds and where it falls back.
+evaluate, and the doubles handed out by `_nearest_top_root` against
+plain exact bisection, with its final brackets checked by exact Sturm
+counts around them.  Every top root, polyroot's and both closed-form
+bounds', takes one route: a Descartes-certified first bracket, checked
+against the Sturm route where it holds, and the Sturm route, halving
+from the isolating interval with no float guess, where it falls back.
 """
 
 import math
@@ -137,12 +138,12 @@ def test_cleared_bound_poly_is_g_times_positive_factor():
                     assert evaluate(G, a) == a**s * (1 - a) * g
 
 
-def _assert_nearest_double(p, x, hi=None):
-    """x is the double nearest the largest real root of p below hi: the
-    reals that round to x (halfway to each neighbouring double) hold a
-    root of p and none lies between them and hi.  Exact Sturm counts."""
+def _assert_nearest_double(p, x):
+    """x is the double nearest the largest real root of p: the reals that
+    round to x (halfway to each neighbouring double) hold a root of p and
+    none lies above them.  Exact Sturm counts."""
     chain = poly.sturm_chain(p)
-    top = Fraction(hi) if hi is not None else poly.cauchy_bound(p) + 1
+    top = poly.cauchy_bound(p) + 1
     below = (Fraction(x) + Fraction(math.nextafter(x, -math.inf))) / 2
     above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
     assert poly.sign_at(p, below) != 0 and poly.sign_at(p, above) != 0
@@ -151,19 +152,19 @@ def _assert_nearest_double(p, x, hi=None):
     assert poly.count_real_roots(chain, above, top) == 0
 
 
-def _assert_bracket(p, top, lo=None, hi=None):
-    """The final bracket holds the top root of p in (lo, hi) and no other
-    root of p: (x, x) is the top root itself, an open (a, b) has nonroot
-    ends, one root inside and none above it below hi; the double handed
-    out lies between its ends."""
+def _assert_bracket(p, top):
+    """The final bracket holds the top root of p and no other root of p:
+    (x, x) is the top root itself, an open (a, b) has nonroot ends, one
+    root inside and none above it; the double handed out lies between its
+    ends."""
     x, _, (a, b) = top
     assert float(a) <= x <= float(b)
     if a == b:  # a root, inside the last isolating marker
-        last = poly.isolate_real_roots(p, lo, hi)[-1]
+        last = poly.isolate_real_roots(p)[-1]
         assert poly.sign_at(p, a) == 0 and last[1] <= a <= last[-1]
     else:
         chain = poly.sturm_chain(p)
-        ceiling = Fraction(hi) if hi is not None else poly.cauchy_bound(p) + 1
+        ceiling = poly.cauchy_bound(p) + 1
         assert poly.sign_at(p, a) != 0 and poly.sign_at(p, b) != 0
         assert poly.count_real_roots(chain, a, b) == 1
         assert b < ceiling and poly.count_real_roots(chain, b, ceiling) == 0
@@ -200,9 +201,9 @@ def test_bounds_are_nearest_doubles():
                 ep = extremal_params(m, k, r)
                 if not ep.feasible or ep.q == ep.s == ep.l == 0:
                     continue
-                # G keeps its roots at 0; the cell around alpha0 lies above them
+                # no root of G lies above alpha0, in (0, 1) or past it
                 G = _cleared_bound_poly(r, ep.q, ep.s, ep.l)
-                _assert_nearest_double(G, rho_bound(m, k, r).alpha0, hi=1)
+                _assert_nearest_double(G, rho_bound(m, k, r).alpha0)
     cases = 0
     for r in range(2, 7):
         for m in range(2, 61):
@@ -211,9 +212,35 @@ def test_bounds_are_nearest_doubles():
             except InfeasibleParameters:
                 continue
             # r a^r - (m-1)(1-a)
-            _assert_nearest_double(poly.sub(poly.mul_xpow([r], r), [m - 1, 1 - m]), alpha0, hi=1)
+            _assert_nearest_double(poly.sub(poly.mul_xpow([r], r), [m - 1, 1 - m]), alpha0)
             cases += 1
     assert cases > 50
+
+
+def test_bound_takes_the_descartes_route(monkeypatch):
+    """The bound reads alpha0 as G's largest real root, with no interval:
+    on every feasible triple with r = 2..6 and m <= 30, G has no root in
+    [1, Cauchy bound + 1) by Sturm count, alpha0 lies in (0, 1), and
+    `rho_bound` builds no Sturm chain."""
+    calls = _spy_sturm_chain(monkeypatch)
+    cases = 0
+    for r in range(2, 7):
+        for m in range(2, 31):
+            for k in range(1, m + 1):
+                ep = extremal_params(m, k, r)
+                if not ep.feasible:
+                    continue
+                calls.clear()
+                alpha0 = rho_bound(m, k, r).alpha0
+                assert not calls, (m, k, r)
+                assert 0 < alpha0 < 1, (m, k, r)
+                G = _cleared_bound_poly(r, ep.q, ep.s, ep.l)
+                G = G[next(i for i, c in enumerate(G) if c) :]
+                ceiling = poly.cauchy_bound(G) + 1
+                assert poly.sign_at(G, 1) > 0
+                assert poly.count_real_roots(poly.sturm_chain(G), 1, ceiling) == 0, (m, k, r)
+                cases += 1
+    assert cases > 1000
 
 
 def test_polyroot_reads_nearest_double():
@@ -519,13 +546,13 @@ def test_isolation_of_roots_closer_than_the_recursion_limit():
     assert poly.isolate_top_root(p) == markers[1]
 
 
-def _plain_nearest(p, lo=None, hi=None):
-    """Reference: the double nearest the top root of p in (lo, hi) by exact
+def _plain_nearest(p):
+    """Reference: the double nearest the top root of p by exact
     bisection of its isolating interval over Fractions, with no float
     guess.  Once the ends round to adjacent doubles, the sign at the
     midpoint of those doubles decides; a root exactly there rounds half
     to even, as float() of a Fraction does."""
-    marker = poly.isolate_real_roots(p, lo, hi)[-1]
+    marker = poly.isolate_real_roots(p)[-1]
     if marker[0] == "point":
         return float(marker[1])
     q = poly.exact_quotient(poly.primitive(p), poly.poly_gcd(p, poly.derivative(p)))
@@ -546,42 +573,39 @@ def _plain_nearest(p, lo=None, hi=None):
 
 
 def _kernel_cases():
-    """(p, lo, hi) behind polyroot on every class up to the guards and
+    """The polynomials behind polyroot on every class up to the guards and
     behind both closed-form bounds."""
-    cases = [(_z_poly(H), None, None) for H in _guarded_classes() if H.m > 1]
+    cases = [_z_poly(H) for H in _guarded_classes() if H.m > 1]
     for r in range(2, 7):
         for m in range(1, max_edges_guard(r) + 1):
             for k in range(1, m + 1):
                 ep = extremal_params(m, k, r)
                 if ep.feasible and (ep.q, ep.s, ep.l) != (0, 0, 0):
                     G = _cleared_bound_poly(r, ep.q, ep.s, ep.l)
-                    cases.append((G[next(i for i, c in enumerate(G) if c) :], 0, 1))
+                    cases.append(G[next(i for i, c in enumerate(G) if c) :])
         for m in range(2, 40):
             if (m * (r - 1) + 1) % r == 0:
-                cases.append(([1 - m, m - 1] + [0] * (r - 2) + [r], 0, 1))
+                cases.append([1 - m, m - 1] + [0] * (r - 2) + [r])
     return cases
 
 
 def test_seeded_kernel_matches_plain_bisection():
     tests = []
-    for p, lo, hi in _kernel_cases():
-        top = poly._nearest_top_root(p, lo, hi)
-        assert top[0] == _plain_nearest(p, lo, hi), (p, lo, hi)
-        _assert_bracket(p, top, lo, hi)
+    for p in _kernel_cases():
+        top = poly._nearest_top_root(p)
+        assert top[0] == _plain_nearest(p), p
+        _assert_bracket(p, top)
         tests.append(top[1])
     # the float guess saves the halvings: a handful of exact tests per root
     assert sum(tests) / len(tests) < 10
 
 
-def test_seed_skipped_when_floats_overflow():
+def test_sturm_route_when_coefficients_overflow_floats():
     big = 10**400
     for p, expected in (
         (poly.mul([-3, 1], [-1, big]), 3.0),  # (z - 3)(10^400 z - 1)
         (poly.mul([-2, 0, 1], [-1, big]), math.sqrt(2)),  # (z^2 - 2)(10^400 z - 1)
     ):
-        _, a, b = poly.isolate_top_root(p)
-        q = poly._square_free(poly.sturm_chain(p))
-        assert poly._float_root(q, a, b, poly.sign_at(q, a)) is None
         top = poly._nearest_top_root(p)
         assert top[0] == _plain_nearest(p) == expected
         _assert_bracket(p, top)
@@ -598,13 +622,13 @@ def test_bracket_ends_past_the_largest_double():
 
 def _shifted_guess(monkeypatch, shift):
     """Make every float guess `shift` ulps off."""
-    guess = poly._float_root
+    guess = poly._float_top_root
 
-    def off(q, a, b, left):
-        x = guess(q, a, b, left)
+    def off(p):
+        x = guess(p)
         return None if x is None else x + shift * math.ulp(x)
 
-    monkeypatch.setattr(poly, "_float_root", off)
+    monkeypatch.setattr(poly, "_float_top_root", off)
 
 
 @pytest.mark.parametrize(
@@ -620,20 +644,20 @@ def test_wider_seed_brackets_confirm(monkeypatch, shift, width):
     index = poly._SEED_ULPS.index(width)
     most = 1 + 2 * index + 2 + (width.bit_length() + 1) + 1
     _shifted_guess(monkeypatch, shift)
-    for p, lo, hi in _kernel_cases():
-        top = poly._nearest_top_root(p, lo, hi)
-        assert top[0] == _plain_nearest(p, lo, hi), (p, lo, hi, shift)
-        _assert_bracket(p, top, lo, hi)
-        assert top[1] <= most, (p, lo, hi, shift, top[1])
+    for p in _kernel_cases():
+        top = poly._nearest_top_root(p)
+        assert top[0] == _plain_nearest(p), (p, shift)
+        _assert_bracket(p, top)
+        assert top[1] <= most, (p, shift, top[1])
 
 
 @pytest.mark.parametrize("shift", [2**30, -(2**30)])
 def test_seed_survives_a_bad_guess(monkeypatch, shift):
-    """A float guess 2^30 ulps off the root confirms no bracket, so the
-    halving starts from the isolating interval and still ends on the
-    nearest double."""
+    """A float guess 2^30 ulps off the root confirms no seed bracket, so the
+    halving starts from the Descartes bracket, its upper end widened above
+    the guess, and still ends on the nearest double."""
     _shifted_guess(monkeypatch, shift)
-    for p, lo, hi in _kernel_cases():
-        top = poly._nearest_top_root(p, lo, hi)
-        assert top[0] == _plain_nearest(p, lo, hi), (p, lo, hi, shift)
-        _assert_bracket(p, top, lo, hi)
+    for p in _kernel_cases():
+        top = poly._nearest_top_root(p)
+        assert top[0] == _plain_nearest(p), (p, shift)
+        _assert_bracket(p, top)
