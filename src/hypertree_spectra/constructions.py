@@ -45,11 +45,13 @@ class ExtremalParams:
 @dataclass(frozen=True)
 class BoundResult:
     """`certificate`: alpha0's final rational bracket from the top-root
-    kernel (`polynomials._nearest_top_root`)."""
+    kernel (`polynomials._nearest_top_root`); `top`: rho^r as a certified
+    top root (B, bracket), from `_bound_top`."""
 
     alpha0: float
     rho: float
     certificate: tuple
+    top: tuple
 
 
 @dataclass(frozen=True)
@@ -183,6 +185,15 @@ def _cleared_bound_poly(r: int, q: int, s: int, l: int) -> list[int]:
     return G
 
 
+def _bound_top(G: list[int], alpha_bracket: tuple) -> tuple:
+    """rho^r of the closed form as a certified top root: B(z) = z^deg(G) G(1 - 1/z),
+    whose top root is 1/(1 - alpha0), and alpha0's bracket mapped by x -> 1/(1 - x).
+    With G(1 + y) = sum h_j y^j, B(z) = sum (-1)^j h_j z^(deg G - j)."""
+    shifted = poly.taylor_shift(G, 1)
+    B = poly.trim([-h if j % 2 else h for j, h in enumerate(shifted)][::-1])
+    return B, tuple(1 / (1 - x) for x in alpha_bracket)
+
+
 def rho_bound(m: int, k: int, r: int) -> BoundResult:
     """Closed-form spectral-radius bound for hypertrees with a k-matching.
 
@@ -197,12 +208,14 @@ def rho_bound(m: int, k: int, r: int) -> BoundResult:
     p = extremal_params(m, k, r)
     if not p.feasible:
         raise InfeasibleParameters(f"no hypertree with m={m}, k={k}, r={r}")
-    if p.q == 0 and p.s == 0 and p.l == 0:
-        return BoundResult(0.0, 1.0, (Fraction(0), Fraction(0)))
-    G = _cleared_bound_poly(r, p.q, p.s, p.l)
-    G = G[next(i for i, c in enumerate(G) if c) :]
-    alpha0, _, bracket = poly._nearest_top_root(G)
-    return BoundResult(alpha0, (1.0 / (1.0 - alpha0)) ** (1.0 / r), bracket)
+    G = _cleared_bound_poly(r, p.q, p.s, p.l)  # with its power of a, for `_bound_top`
+    if p.q == 0 and p.s == 0 and p.l == 0:  # G = a^r, and B = (z - 1)^r
+        alpha0, bracket = 0.0, (Fraction(0), Fraction(0))
+    else:
+        low = next(i for i, c in enumerate(G) if c)
+        alpha0, _, bracket = poly._nearest_top_root(G[low:])
+    rho = (1.0 / (1.0 - alpha0)) ** (1.0 / r)
+    return BoundResult(alpha0, rho, bracket, _bound_top(G, bracket))
 
 
 def perfect_matching_bound(m: int, r: int) -> BoundResult:

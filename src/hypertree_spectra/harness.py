@@ -20,15 +20,10 @@ from dataclasses import dataclass, field, fields
 from functools import cmp_to_key
 from typing import Optional
 
-from . import polynomials as poly
-from .constructions import (
-    _cleared_bound_poly,
-    build_A,
-    extremal_params,
-    rho_bound,
-)
+from .constructions import build_A, extremal_params, rho_bound
 from .enumeration import EnumerationRecord, enumerate_T_mkr, max_edges_guard
 from .hypergraph import canonical_code
+from .polynomials import _compare
 
 CSV_COLUMNS = [
     "m",
@@ -82,44 +77,13 @@ class VerificationReport:
         }
 
 
-def _compare(a: tuple, b: tuple) -> int:
-    """Sign of top root of p - top root of q, for a = (p, bracket), b = (q, bracket),
-    each bracket a point or an open interval holding no other root.  Brackets
-    that do not overlap decide.  A root of gcd(p, q) where they meet is both top roots;
-    else they differ, and `refine_isolating` narrows both until they part, each on
-    its square-free part, built once here."""
-    (p, (a0, a1)), (q, (b0, b1)) = a, b
-    if a1 > b0 and b1 > a0:  # the brackets meet in (lo, hi), or in lo == hi where one is a point
-        g, lo, hi = poly.poly_gcd(p, q), max(a0, b0), min(a1, b1)
-        if poly.sign_at(g, lo) == 0 if lo == hi else poly.count_real_roots(poly.sturm_chain(g), lo, hi) > 0:
-            return 0
-        p, q = (f if l == h else poly._square_free(poly.sturm_chain(f)) for f, (l, h) in (a, b))
-    while a1 > b0 and b1 > a0:
-        (a0, a1), (b0, b1) = _narrow(p, a0, a1), _narrow(q, b0, b1)
-    return (b1 <= a0) - (a1 <= b0)  # both only for the same point twice
-
-
-def _narrow(q: list[int], lo, hi) -> tuple:
-    """(lo, hi) narrowed 2^20-fold about the one root of q in it, q square-free; a point stays."""
-    marker = ("point", lo) if lo == hi else poly.refine_isolating(q, lo, hi, (hi - lo) / 2**20)
-    return marker[1], marker[-1]
-
-
-def _bound_top(G: list[int], alpha_bracket: tuple) -> tuple:
-    """rho^r of the closed form as a certified top root: B(z) = z^deg(G) G(1 - 1/z),
-    whose top root is 1/(1 - alpha0), and alpha0's bracket mapped by x -> 1/(1 - x).
-    With G(1 + y) = sum h_j y^j, B(z) = sum (-1)^j h_j z^(deg G - j)."""
-    shifted = poly.taylor_shift(G, 1)
-    B = poly.trim([-h if j % 2 else h for j, h in enumerate(shifted)][::-1])
-    return B, tuple(1 / (1 - x) for x in alpha_bracket)
-
-
 def verify_extremal(m: int, k: int, r: int, at_least: bool = False) -> VerificationReport:
     """Exhaustively check that A(m, k, r) is the unique rho maximizer.
 
     `rho_bound` runs first and raises InfeasibleParameters.  The verdicts are
-    exact: the winner, `unique` and `matches_bound` read `_compare` of the
-    certified top roots rho^r of the classes and of the bound.
+    exact: the winner, `unique` and `matches_bound` read
+    `polynomials._compare` of the certified top roots rho^r of the classes
+    and of the bound.
     """
     bound = rho_bound(m, k, r)
     records = list(enumerate_T_mkr(m, k, r, at_least=at_least))
@@ -127,8 +91,6 @@ def verify_extremal(m: int, k: int, r: int, at_least: bool = False) -> Verificat
         raise RuntimeError(f"feasible parameters produced no classes: {(m, k, r)}")
     tops = [(rec.z_poly, rec.certificate) for rec in records]
     w = max(range(len(tops)), key=lambda j: cmp_to_key(_compare)(tops[j]))  # the first of equals: the lowest code
-    params = extremal_params(m, k, r)
-    G = _cleared_bound_poly(r, params.q, params.s, params.l)
     return VerificationReport(
         m=m,
         k=k,
@@ -138,7 +100,7 @@ def verify_extremal(m: int, k: int, r: int, at_least: bool = False) -> Verificat
         winner_rho=records[w].rho,
         bound_rho=bound.rho,
         unique=all(_compare(top, tops[w]) < 0 for j, top in enumerate(tops) if j != w),
-        matches_bound=_compare(tops[w], _bound_top(G, bound.certificate)) == 0,
+        matches_bound=_compare(tops[w], bound.top) == 0,
         winner_is_construction=records[w].code == canonical_code(build_A(m, k, r)),
         interpretation="at-least-nu" if at_least else "exact-nu",
     )

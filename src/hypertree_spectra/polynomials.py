@@ -29,9 +29,13 @@ exact certificate, as in Sagraloff & Mehlhorn, J. Symb. Comput. 73,
 2016).  Where the certificate fails (a multiple top root, a guess that
 is noise), the root is isolated on the integer Sturm chain and halved
 from there with no float guess.  The double comes with the rational
-bracket it was read from, which holds the top root and no other root;
-where two such brackets overlap, `refine_isolating` narrows them until
-they part.
+bracket it was read from, which holds the top root and no other root.
+
+Certified top roots are compared in one place (`_compare`): brackets
+that do not meet decide; where they meet, a root of the gcd there is
+both; else `refine_isolating` narrows both until they part.  It ranks
+classes against each other and the closed form, and rho(T1)^r against
+the top root of an order difference's odd part (`odd_part`).
 """
 
 from __future__ import annotations
@@ -164,6 +168,31 @@ def poly_gcd(p: Sequence, q: Sequence) -> Dense:
     return primitive(g)
 
 
+def odd_part(chain: list[Dense]) -> Dense:
+    """The product of the square-free factors of odd multiplicity of p, from
+    p's Sturm chain (p first, gcd(p, p') last), primitive with positive
+    leading coefficient: p over it is a constant times a square.  Yun's loop
+    (SYMSAC 1976) peels off f_i, the product of the factors of multiplicity
+    i: with a = gcd(p, p'), b = p / a and c = p' / a, each step takes
+    d = c - b', f_i = gcd(b, d), then b / f_i and d / f_i.  A loop, not a
+    recursion, and only the first gcd, which the chain holds, has p's degree."""
+    p = primitive(chain[0])
+    a = primitive(chain[-1])
+    b = exact_quotient(p, a)
+    c = exact_quotient(derivative(p), a)
+    out = [1]
+    odd = True
+    while len(b) > 1:
+        d = sub(c, derivative(b))
+        f = poly_gcd(b, d)
+        if odd:
+            out = mul(out, f)
+        b = exact_quotient(b, f)
+        c = exact_quotient(d, f)
+        odd = not odd
+    return primitive(out)
+
+
 def cauchy_bound(p: Sequence) -> Fraction:
     """Every real root of p has absolute value below this bound."""
     p = trim(p)
@@ -227,16 +256,6 @@ def count_real_roots(chain: list[Dense], a, b) -> int:
     if not (sa and sb):
         raise ValueError("counting endpoints must not be roots")
     return va - vb
-
-
-def _dyadic_points(a, b):
-    """The points of (a, b) at odd multiples of (b - a) / 2^k, k = 1, 2, ..."""
-    a, b = Fraction(a), Fraction(b)
-    denom = 2
-    while True:
-        for num in range(1, denom, 2):
-            yield a + (b - a) * Fraction(num, denom)
-        denom *= 2
 
 
 def isolate_real_roots(p: Sequence, lo=None, hi=None, evaluate=None) -> list[tuple]:
@@ -303,6 +322,27 @@ def _roots_down(p: Sequence, lo, hi, evaluate):
             a, va = r, vr
         if va - vb == 1:
             yield ("interval", a, b)
+
+
+class _Chains:
+    """A per-call memo: one Sturm chain per polynomial and one evaluation per
+    (polynomial, point), a point keyed by numerator and denominator (a
+    Fraction hashes slowly)."""
+
+    def __init__(self):
+        self.chains, self.values = {}, {}
+
+    def chain(self, p: Sequence) -> list[Dense]:
+        key = tuple(p)
+        if key not in self.chains:
+            self.chains[key] = sturm_chain(p)
+        return self.chains[key]
+
+    def evaluate(self, p: Sequence, x: Fraction) -> tuple[int, int]:
+        key = (tuple(p), x.numerator, x.denominator)
+        if key not in self.values:
+            self.values[key] = _variations(self.chain(p), x)
+        return self.values[key]
 
 
 def _square_free(chain: list[Dense]) -> Dense:
@@ -402,11 +442,20 @@ def _ratio(n: int, d: int) -> float:
 
 
 def _nearest_top_root(p: Sequence) -> tuple[float, int, tuple] | None:
+    """`_nearest_from` with p's own `_below_top` and a fresh memo."""
+    p = trim(p)
+    return _nearest_from(p, _below_top(p), _Chains())
+
+
+def _nearest_from(
+    p: Sequence, below: tuple | None, chains: _Chains
+) -> tuple[float, int, tuple] | None:
     """The double nearest the largest real root of p, the number of exact
     sign tests of q (below) from the first bracket (0 for a root met by
     isolation), and the final rational bracket, an open interval holding
     no other root of p or (x, x) for a root x that isolation or a halving
-    lands on; None if no root.
+    lands on; None if no root.  `below` is `_below_top(p)`, taken by the
+    caller; the Sturm route takes p's chain and its evaluations from `chains`.
 
     A Descartes test comes first: at c from `_below_top`, p(c + y) with
     one sign variation has one root y > 0, so (c, Cauchy bound + 1) holds
@@ -428,17 +477,15 @@ def _nearest_top_root(p: Sequence) -> tuple[float, int, tuple] | None:
     rounded half to even.  An end past the largest double reads as +-inf.
     """
     p = trim(p)
-    below = _below_top(p)
     if below is not None and _sign_changes(taylor_shift(p, below[1])) == 1:
         (x, a), b, q = below, cauchy_bound(p) + 1, p
     else:
-        chain = sturm_chain(p)
-        top = isolate_top_root(p, evaluate=partial(_variations, chain))
+        top = isolate_top_root(p, evaluate=partial(chains.evaluate, p))
         if top is None:
             return None
         if top[0] == "point":
             return float(top[1]), 0, top[1:] * 2
-        (_, a, b), q, x = top, _square_free(chain), None
+        (_, a, b), q, x = top, _square_free(chains.chain(p)), None
     tests = 0
 
     def sign(n: int, d: int) -> int:
@@ -488,3 +535,38 @@ def _nearest_top_root(p: Sequence) -> tuple[float, int, tuple] | None:
             A, fa = mid, fm
     return fa, tests, (Fraction(A, D), Fraction(B, D))
 
+
+# ---------------------------------------------------------------------------
+# comparing certified top roots
+# ---------------------------------------------------------------------------
+
+
+def _root_in(g: Sequence, lo: Fraction, hi: Fraction, chains: _Chains) -> bool:
+    """Whether g has a root in (lo, hi), or at lo where lo == hi, by Sturm
+    counts from `chains`; the ends of an interval must not be roots."""
+    if lo == hi:
+        return chains.evaluate(g, lo)[0] == 0
+    return chains.evaluate(g, lo)[1] > chains.evaluate(g, hi)[1]
+
+
+def _compare(a: tuple, b: tuple, chains: _Chains | None = None) -> int:
+    """Sign of top root of p - top root of q, for a = (p, bracket), b = (q, bracket),
+    each bracket a point or an open interval holding no other root.  Brackets
+    that do not overlap decide.  A root of gcd(p, q) where they meet is both top roots;
+    else they differ, and `refine_isolating` narrows both until they part, each on
+    its square-free part.  Chains come from `chains` (a fresh memo by default)."""
+    (p, (a0, a1)), (q, (b0, b1)) = a, b
+    if a1 > b0 and b1 > a0:  # the brackets meet in (lo, hi), or in lo == hi where one is a point
+        chains = chains or _Chains()
+        if _root_in(poly_gcd(p, q), max(a0, b0), min(a1, b1), chains):
+            return 0
+        p, q = (f if l == h else _square_free(chains.chain(f)) for f, (l, h) in (a, b))
+    while a1 > b0 and b1 > a0:
+        (a0, a1), (b0, b1) = _narrow(p, a0, a1), _narrow(q, b0, b1)
+    return (b1 <= a0) - (a1 <= b0)  # both only for the same point twice
+
+
+def _narrow(q: Sequence, lo, hi) -> tuple:
+    """(lo, hi) narrowed 2^20-fold about the one root of q in it, q square-free; a point stays."""
+    marker = ("point", lo) if lo == hi else refine_isolating(q, lo, hi, (hi - lo) / 2**20)
+    return marker[1], marker[-1]

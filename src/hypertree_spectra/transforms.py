@@ -13,15 +13,16 @@ an integer polynomial D, and both are decided exactly.  A Descartes
 certificate comes first: p1 (phi(T1) in z) of sign opposite to its leading
 coefficient at a rational c > 0 has an odd number of roots above c, so
 rho(T1)^r > c, and D(c + y) with no negative coefficient and a positive
-constant term is > 0 for y >= 0 by the rule of signs.  Otherwise
-rho(T1)^r is isolated on integer Sturm counts, a gcd tells whether D
-vanishes there, and D's sign beyond is read at rational points between
-its isolated roots (`polynomials.sign_at`).  No verdict rests on floats.
+constant term is > 0 for y >= 0 by the rule of signs.  Otherwise D's odd
+part O, the product of its square-free factors of odd multiplicity, has
+D's sign off D's roots and only simple roots, so D >= 0 beyond rho(T1)^r
+exactly when O's top root is not above it: one comparison of certified
+top roots (`polynomials._compare`), and a gcd tells whether D vanishes
+at rho(T1)^r.  No verdict rests on floats.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -116,26 +117,23 @@ def edge_release(H: Hypergraph, e: Iterable[int]) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
-def _deflate_rational_root(p: tuple, q: Fraction, sign) -> tuple[tuple, int]:
-    """Divide the primitive integer p by d z - n, with q = n/d, as often as
-    it divides; returns (quotient, multiplicity).  `sign(p, x)` is the sign
-    test to use."""
-    mult = 0
-    while sign(p, q) == 0 and len(p) > 1:
-        p = tuple(poly.exact_quotient(p, [-q.numerator, q.denominator]))
-        mult += 1
-    return p, mult
-
-
 def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[bool, bool, dict]:
     """Decide whether the difference stays >= 0 on [rho1, infinity).
 
     In z = x^r, z1 is the top root of p1 and the difference is x^trailing_exp * D(x^r);
-    returns (weak, boundary_vanishes, witness).  Descartes' certificate decides first:
-    p1 of sign opposite to its leading coefficient at c > 0 has an odd number of roots
-    above c, so z1 > c; D(c + y) with no negative coefficient and D(c) > 0 has no root
-    y >= 0 by the rule of signs, so D > 0 on [c, infinity).  The witness records c, else
-    the boundary interval, whether the difference vanishes at rho1, and D's signs beyond.
+    returns (weak, boundary_vanishes, witness).  A negative leading coefficient
+    decides at once, Descartes' certificate (module docstring) next, its witness
+    recording c.  Otherwise let O be D's odd part, the product of its square-free
+    factors of odd multiplicity.  D / O is a square times a positive constant, so
+    D and O have the same sign off the roots of D, and every root of O is simple.
+    So D >= 0 on [z1, infinity) exactly when O is constant or O's top root is
+    <= z1, which one comparison of certified top roots decides.  z1's bracket
+    comes from the top-root kernel, or is the point 0, as the root of z, for an
+    edgeless p1; O's top root is isolated above its lower end, moved down while O
+    vanishes there.  D(z1) = 0 exactly when the comparison finds O's top root at
+    z1 or gcd(p1, D) has a root in z1's bracket.  The witness records that
+    bracket (`boundary`), whether the difference vanishes at rho1, and O's top-root
+    bracket (`odd_top`, null where O has no root at or above `boundary[0]`).
     """
     witness: dict = {}
     D = poly.trim(D)
@@ -145,40 +143,7 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
         witness["leading_sign"] = -1
         return False, False, witness
     witness["leading_sign"] = 1
-    # polynomials are tuples from here on: D is primitive, so gcd(p1, D)
-    # is this very tuple when D divides p1
-    p1, D = tuple(p1), tuple(poly.primitive(D))
-    # per call, isolations included: one Sturm chain per polynomial, one
-    # chain evaluation and one sign per (polynomial, point), the sign read
-    # off the chain's first element where the chain was evaluated; a point
-    # is keyed by its numerator and denominator (a Fraction hashes slowly)
-    chain_of = functools.cache(poly.sturm_chain)
-    evaluated: dict = {}
-    signs: dict = {}
-
-    def evaluate(p: tuple, x: Fraction) -> tuple[int, int]:
-        key = (p, x.numerator, x.denominator)
-        value = evaluated.get(key)
-        if value is None:
-            value = evaluated[key] = poly._variations(chain_of(p), x)
-            signs[key] = value[0]
-        return value
-
-    def sign(p: tuple, x: Fraction) -> int:
-        key = (p, x.numerator, x.denominator)
-        s = signs.get(key)
-        if s is None:
-            s = signs[key] = poly.sign_at(p, x)
-        return s
-
-    def roots_in(p: tuple, a: Fraction, b: Fraction) -> int:
-        """Distinct roots of p in (a, b]; the ends must not be roots."""
-        return evaluate(p, a)[1] - evaluate(p, b)[1]
-
-    def nonroot(polys: tuple, a: Fraction, b: Fraction) -> Fraction:
-        """The first of `poly._dyadic_points(a, b)` where none of `polys`
-        vanishes, by this call's sign tests."""
-        return next(x for x in poly._dyadic_points(a, b) if all(sign(p, x) for p in polys))
+    D = poly.primitive(D)
 
     below = poly._below_top(p1)  # c just below a float guess at z1, confirmed under z1
     if below is not None:
@@ -188,74 +153,39 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
             witness.update(descartes=str(c), boundary_vanishes=False)
             return True, False, witness
 
-    if len(p1) == 1:  # an edgeless hyperforest pins the boundary at z = 0
-        marker = ("point", Fraction(0))
+    # one Sturm chain per polynomial and one evaluation per (polynomial, point)
+    chains = poly._Chains()
+    if len(p1) == 1:  # an edgeless hyperforest pins the boundary at z = 0, the root of z
+        z, bracket = [0, 1], (Fraction(0), Fraction(0))
     else:
-        marker = poly.isolate_top_root(p1, evaluate=functools.partial(evaluate, p1))
-    if marker[0] == "point":
-        z1 = marker[1]
-        witness["boundary"] = [str(z1), str(z1)]
-        effective, mult = _deflate_rational_root(D, z1, sign)
-        boundary_vanishes = mult > 0
-        # at rho1 = 0 the x^trailing_exp factor can force the vanishing
-        if z1 == 0 and trailing_exp > 0:
-            boundary_vanishes = True
-        start = z1
-    else:
-        lo, hi = marker[1], marker[2]
-        # D(z1) = 0 exactly when gcd(p1, D) has a root in the isolating
-        # interval of z1 (any root of the gcd inside it must be z1 itself)
-        g = tuple(poly.poly_gcd(p1, D))
-        if len(g) > 1:
-            boundary_vanishes = roots_in(g, lo, hi) >= 1
-        else:
-            boundary_vanishes = False
-        # shrink (lo, hi] until it holds no root of D besides possibly z1,
-        # with endpoints avoiding the roots of both polynomials
-        want = 1 if boundary_vanishes else 0
-        while not (sign(D, lo) and sign(D, hi) and roots_in(D, lo, hi) == want):
-            mid = nonroot((p1, D), lo, hi)
-            if roots_in(p1, mid, hi) == 1:
-                lo = mid
-            else:
-                hi = mid
-        witness["boundary"] = [str(lo), str(hi)]
-        effective = D
-        start = hi
-    witness["boundary_vanishes"] = boundary_vanishes
-
-    if len(effective) <= 1:
-        weak = effective[-1] > 0
-        witness["samples"] = [[str(start), 1 if weak else -1]]
-        return weak, boundary_vanishes, witness
-
-    bound = poly.cauchy_bound(effective) + 1
-    if start >= bound:
-        bound = start + 1
-    markers = poly.isolate_real_roots(
-        effective, lo=start, hi=bound, evaluate=functools.partial(evaluate, effective)
+        z, bracket = p1, poly._nearest_from(p1, below, chains)[2]
+    # D's chain ends in gcd(D, D'), and is O's own chain where D is square-free
+    odd = poly.odd_part(chains.chain(D))
+    top = None  # O's top-root bracket
+    if len(odd) > 1:
+        lo = bracket[0]
+        shifted = poly.taylor_shift(odd, lo)
+        while shifted[0] == 0:  # lo must not be a root of O
+            lo -= 1
+            shifted = poly.taylor_shift(odd, lo)
+        # with no sign variation O has no root above lo, by the rule of signs
+        if poly._sign_changes(shifted):
+            hi = poly.cauchy_bound(odd) + 1
+            marker = poly.isolate_top_root(odd, lo, hi, evaluate=lambda x: chains.evaluate(odd, x))
+            if marker is not None:
+                top = (marker[1], marker[-1])
+    order = None if top is None else poly._compare((odd, top), (z, bracket), chains)
+    # O's top root at z1 is a root of D, so the gcd is asked only otherwise;
+    # at rho1 = 0 the x^trailing_exp factor can force the vanishing
+    vanishes = (
+        order == 0
+        or (len(p1) == 1 and trailing_exp > 0)
+        or poly._root_in(poly.poly_gcd(z, D), bracket[0], bracket[1], chains)
     )
-    # one sample per gap between consecutive roots of `effective`:
-    # `start` covers the gap before the first root, an interval marker's
-    # right endpoint covers the gap after its root, and a rational root
-    # gets an interior point before whatever comes next
-    gap_points: list[Fraction] = [start]
-    for i, mk in enumerate(markers):
-        if mk[0] == "interval":
-            gap_points.append(mk[2])
-        else:
-            nxt = markers[i + 1][1] if i + 1 < len(markers) else bound
-            gap_points.append(nonroot((effective,), mk[1], nxt))
-    samples = []
-    weak = True
-    for pt in gap_points:
-        s = sign(effective, pt)
-        samples.append([str(pt), s])
-        if s < 0:
-            weak = False
-    witness["samples"] = samples
-    witness["roots_above"] = len(markers)
-    return weak, boundary_vanishes, witness
+    witness["boundary"] = [str(x) for x in bracket]
+    witness["boundary_vanishes"] = vanishes
+    witness["odd_top"] = None if top is None else [str(x) for x in top]
+    return order is None or order <= 0, vanishes, witness
 
 
 def compare_order(T1: Hypergraph, T2: Hypergraph) -> OrderRelation:

@@ -1,14 +1,13 @@
 """Reference polynomial routines for the tests: plain Horner evaluation
 over ints or Fractions, against which the integer sign kernel is checked;
-the first non-root among `_dyadic_points` by fresh sign tests, which
-`transforms._dominates_from` computes through its own sign memo; and root
+the first non-root among `dyadic_points` by fresh sign tests; and root
 isolation written as two routines, a left-first recursion for every root
 and a descent into the half that holds the largest, against which the
 one lazy bisection of `polynomials` is checked; and the Sturm chain and
 the gcd written as two pseudo-remainder loops, against which the one
 remainder sequence of `polynomials` is checked; and two exact tests on
 top roots, against which the one comparison of certified top roots in
-`harness._compare` is checked: the order of two top roots from the top
+`polynomials._compare` is checked: the order of two top roots from the top
 root of their product, and the equality of a top root with the closed
 form's from a common root of the two polynomials, with the closed form's
 polynomial in z summed term by term."""
@@ -29,9 +28,19 @@ def evaluate(p: Sequence, x):
     return acc
 
 
+def dyadic_points(a, b):
+    """The points of (a, b) at odd multiples of (b - a) / 2^k, k = 1, 2, ..."""
+    a, b = Fraction(a), Fraction(b)
+    denom = 2
+    while True:
+        for num in range(1, denom, 2):
+            yield a + (b - a) * Fraction(num, denom)
+        denom *= 2
+
+
 def pick_nonroot(polys: list[Sequence], a: Fraction, b: Fraction) -> Fraction:
-    """The first of `poly._dyadic_points(a, b)` where none of the polynomials vanish."""
-    return next(x for x in poly._dyadic_points(a, b) if all(poly.sign_at(p, x) != 0 for p in polys))
+    """The first of `dyadic_points(a, b)` where none of the polynomials vanish."""
+    return next(x for x in dyadic_points(a, b) if all(poly.sign_at(p, x) != 0 for p in polys))
 
 
 def isolate_real_roots(p: Sequence, lo=None, hi=None, evaluate=None) -> list[tuple]:

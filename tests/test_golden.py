@@ -56,7 +56,7 @@ POLYROOT_SHA256 = "b257bfe06f4adde31de92637df0c4dec48e5852a03f8791c4e0cdc7547fef
 
 # sha256 of compare_order's tags and witness JSON, both directions, on a
 # seeded set of random hypertree and doubled-forest pairs
-ORDER_SHA256 = "a615fc8355c0637af71cc40e481c7b7128145735465fa513469293244be24e49"
+ORDER_SHA256 = "28da4216e200761a95e80e6e2e5b7028244c76777dba017c674fbcba15e33de4"
 
 # sha256 of the stdout of `htspec enumerate 7 2` (23 lines) and
 # `htspec enumerate 5 3` (8 lines)

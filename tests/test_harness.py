@@ -8,7 +8,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from hypertree_spectra import harness, polynomials as poly
+from hypertree_spectra import constructions, harness, polynomials as poly
 from hypertree_spectra import (
     InfeasibleParameters,
     SuiteConfig,
@@ -267,7 +267,7 @@ def test_bound_poly_matches_reference():
                 ep = extremal_params(m, k, r)
                 if ep.feasible:
                     G = _cleared_bound_poly(r, ep.q, ep.s, ep.l)
-                    assert harness._bound_top(G, (Fraction(0), Fraction(0)))[0] == ref.bound_poly(G), (m, k, r)
+                    assert constructions._bound_top(G, (Fraction(0), Fraction(0)))[0] == ref.bound_poly(G), (m, k, r)
                     cases += 1
     assert cases == 2756
 
@@ -293,14 +293,14 @@ def test_compare_top_roots(monkeypatch):
     for p, q, sign in cases:
         for a in (poly._nearest_top_root(p)[2], _first_bracket(p)):
             for b in (poly._nearest_top_root(q)[2], _first_bracket(q)):
-                assert harness._compare((p, a), (q, b)) == sign == ref.compare_top_roots(p, q)
-                assert harness._compare((q, b), (p, a)) == -sign
+                assert poly._compare((p, a), (q, b)) == sign == ref.compare_top_roots(p, q)
+                assert poly._compare((q, b), (p, a)) == -sign
     # sqrt(2) and n/d round to one double; their first isolating brackets
     # overlap, and only the refinement parts them
     p, q = cases[1][:2]
     assert poly._nearest_top_root(p)[0] == poly._nearest_top_root(q)[0] == math.sqrt(2)
     calls.clear()
-    assert harness._compare((p, _first_bracket(p)), (q, _first_bracket(q))) == -1
+    assert poly._compare((p, _first_bracket(p)), (q, _first_bracket(q))) == -1
     assert calls
 
 
@@ -312,8 +312,8 @@ def test_compare_point_inside_close_interval(offset):
     point = ([-4, 1], (Fraction(4), Fraction(4)))
     interval = ([-root.numerator, root.denominator], (Fraction(3), Fraction(5)))
     sign = 1 if offset < 0 else -1
-    assert harness._compare(point, interval) == sign
-    assert harness._compare(interval, point) == -sign
+    assert poly._compare(point, interval) == sign
+    assert poly._compare(interval, point) == -sign
 
 
 def test_compare_matches_reference_on_every_cell():
@@ -333,7 +333,7 @@ def test_compare_matches_reference_on_every_cell():
             for j in range(i + 1, len(tops)):
                 sign = (rank[i] > rank[j]) - (rank[i] < rank[j])
                 for x, y in ((0, 0), (1, 1), (0, 1), (1, 0)):
-                    assert harness._compare(tops[i][x], tops[j][y]) == sign, (m, k, r, i, j, x, y)
+                    assert poly._compare(tops[i][x], tops[j][y]) == sign, (m, k, r, i, j, x, y)
 
 
 @pytest.mark.parametrize("at_least", [False, True])
@@ -348,5 +348,5 @@ def test_matches_bound_agrees_with_reference(at_least):
         G = _cleared_bound_poly(r, params.q, params.s, params.l)
         assert report.matches_bound == ref.matches_bound(winner.z_poly, winner.certificate, G, alpha)
         coarse = _first_bracket(winner.z_poly)
-        equal = harness._compare((winner.z_poly, coarse), harness._bound_top(G, alpha)) == 0
+        equal = poly._compare((winner.z_poly, coarse), constructions._bound_top(G, alpha)) == 0
         assert equal == ref.matches_bound(winner.z_poly, coarse, G, alpha), (m, k, r)

@@ -1,6 +1,8 @@
 """Exact polynomial arithmetic and root isolation."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -132,6 +134,41 @@ def test_pick_nonroot_avoids_roots():
     pt = pick_nonroot([p], Fraction(-1), Fraction(1))
     assert evaluate(p, pt) != 0
     assert Fraction(-1) < pt < Fraction(1)
+
+
+def test_odd_part():
+    """Seeded products of distinct integer linear and quadratic factors, each
+    to a power 1..5, give from their Sturm chains the primitive product of
+    the odd-power factors; a root of multiplicity 601 takes one loop, chain
+    included, well under a second."""
+    rng = random.Random(27)
+    for _ in range(60):
+        factors = set()
+        while len(factors) < rng.randint(1, 4):
+            if rng.random() < 0.5:  # primitive, so distinct ones have distinct roots
+                n, d = rng.randint(-9, 9), rng.randint(1, 5)
+                if math.gcd(n, d) == 1:
+                    factors.add((n, d))
+            else:  # z^2 + b z + a with b^2 < 4a: no real root
+                a, b = rng.randint(1, 9), rng.randint(-5, 5)
+                if b * b < 4 * a:
+                    factors.add((a, b, 1))
+        p, odd = [rng.choice((-6, -1, 2, 35))], [1]
+        for f in factors:
+            e = rng.randint(1, 5)
+            for _ in range(e):
+                p = poly.mul(p, f)
+            if e % 2:
+                odd = poly.mul(odd, f)
+        assert poly.odd_part(poly.sturm_chain(p)) == poly.primitive(odd), (factors, p)
+    assert poly.odd_part(poly.sturm_chain([5])) == [1]
+    p = [1]
+    for _ in range(601):
+        p = poly.mul(p, [-3, 2])
+    p = poly.mul(p, [1, 0, 1])
+    start = time.perf_counter()
+    assert poly.odd_part(poly.sturm_chain(p)) == poly.mul([-3, 2], [1, 0, 1])
+    assert time.perf_counter() - start < 1
 
 
 def test_sparse_ops():

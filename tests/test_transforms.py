@@ -202,7 +202,8 @@ def test_compare_order_tests_each_sign_once(monkeypatch):
     """One exact sign test per (polynomial, point) within a boundary search,
     counting the tests made inside the helpers it calls, and none where
     that polynomial's Sturm chain was already evaluated: the chain's first
-    element gives the sign there."""
+    element gives the sign there.  The total adds the sign tests the top-root
+    kernel counts while it halves z1's bracket."""
     from hypertree_spectra import disjoint_union, random_hyperforest
     from hypertree_spectra import polynomials as poly
     from hypertree_spectra import transforms
@@ -213,6 +214,7 @@ def test_compare_order_tests_each_sign_once(monkeypatch):
     sign_at = poly.sign_at
     variations = poly._variations
     dominates = transforms._dominates_from
+    nearest = poly._nearest_from
 
     def counted(p, x):
         key = (tuple(p), Fraction(x))
@@ -223,6 +225,12 @@ def test_compare_order_tests_each_sign_once(monkeypatch):
     def counted_chain(chain, x):
         chained.add((tuple(chain[0]), Fraction(x)))
         return variations(chain, x)
+
+    def kernel_tests(*args):
+        nonlocal tests
+        out = nearest(*args)
+        tests += out[1]
+        return out
 
     def one_call(*args):
         nonlocal tests
@@ -235,6 +243,7 @@ def test_compare_order_tests_each_sign_once(monkeypatch):
 
     monkeypatch.setattr(poly, "sign_at", counted)
     monkeypatch.setattr(poly, "_variations", counted_chain)
+    monkeypatch.setattr(poly, "_nearest_from", kernel_tests)
     monkeypatch.setattr(transforms, "_dominates_from", one_call)
     rng = random.Random(7)
     for _ in range(40):
@@ -433,6 +442,7 @@ def test_dominance_near_miss_roots():
     """Internal sign analysis copes with difference roots crowding the boundary."""
     from fractions import Fraction
 
+    from hypertree_spectra import polynomials as poly
     from hypertree_spectra.transforms import _dominates_from
 
     p1 = [1, -3, 1]  # top root z1 = (3 + sqrt 5)/2 ~ 2.6180339887
@@ -443,13 +453,15 @@ def test_dominance_near_miss_roots():
     double = [3025, -2310, 441]  # (21 z - 55)^2
     weak, vanish, wit = _dominates_from(p1, double, 0)
     assert weak is True and vanish is False
-    assert wit["roots_above"] == 1
+    assert wit["odd_top"] is None
+    # triple root just above z1: the only sign change, and not at z1
+    triple = poly.mul(double, [-55, 21])
+    weak, vanish, wit = _dominates_from(p1, triple, 0)
+    assert weak is False and vanish is False
     # the difference IS p1: vanishes at the boundary, nonnegative beyond
     weak, vanish, _ = _dominates_from(p1, p1, 0)
     assert weak is True and vanish is True
     # root exactly at z1 with a sign change: (z^2 - 3z + 1)(z - 3) flips sign
-    from hypertree_spectra import polynomials as poly
-
     flipper = poly.mul(p1, [-3, 1])
     weak, vanish, _ = _dominates_from(p1, flipper, 0)
     assert weak is False and vanish is True
