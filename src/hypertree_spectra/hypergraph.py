@@ -426,15 +426,21 @@ def to_json_dict(H: Hypergraph) -> dict:
     return {"r": H.r, "n": H.n, "edges": [list(e) for e in H.edges]}
 
 
+def _json_fields(data, kind: str, keys: tuple[str, ...]) -> list:
+    """The values of `keys` in the JSON object `data` that holds a `kind`;
+    a non-object or a missing field raises ValueError naming it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a {kind} is a JSON object, not a {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{kind} field {key!r} is missing")
+    return [data[key] for key in keys]
+
+
 def from_json_dict(data: dict) -> Hypergraph:
     """Readers accept edges in any order; normalization re-sorts.  Data of
     the wrong shape raises ValueError naming the field."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a hypergraph is a JSON object, not a {type(data).__name__}")
-    for key in ("r", "n", "edges"):
-        if key not in data:
-            raise ValueError(f"hypergraph field {key!r} is missing")
-    r, n, edges = data["r"], data["n"], data["edges"]
+    r, n, edges = _json_fields(data, "hypergraph", ("r", "n", "edges"))
     if not (type(r) is int and type(n) is int):
         raise ValueError("hypergraph fields 'r' and 'n' must be integers")
     if not (isinstance(edges, list) and all(isinstance(e, list) and all(type(v) is int for v in e) for e in edges)):

@@ -24,6 +24,7 @@ identities line up exponent by exponent without manual shifting.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from . import polynomials as poly
@@ -32,6 +33,7 @@ from .hypergraph import (
     ValidationReport,
     _forest_scan,
     _incidence_walk,
+    _json_fields,
     delete_edge,
     delete_edge_closed,
     validate,
@@ -100,12 +102,24 @@ class MatchPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MatchPoly":
-        coeffs = {int(e): int(c) for e, c in data["coeffs"].items()}
-        return cls(int(data["n"]), int(data["r"]), coeffs)
+        """Integers may be ints or the decimal strings `to_json_dict` writes;
+        data of the wrong shape raises ValueError naming the field."""
+        n, r, coeffs = _json_fields(data, "matching polynomial", ("n", "r", "coeffs"))
+        if not isinstance(coeffs, dict):
+            raise ValueError("matching polynomial field 'coeffs' must be an object")
+        coeffs = {_json_int(e, "coeffs"): _json_int(c, f"coeffs[{e!r}]") for e, c in coeffs.items()}
+        return cls(_json_int(n, "n"), _json_int(r, "r"), coeffs)
 
     @classmethod
     def from_json(cls, text: str) -> "MatchPoly":
         return cls.from_json_dict(json.loads(text))
+
+
+def _json_int(value, field: str) -> int:
+    """An int, or a decimal string such as `MatchPoly.to_json_dict` writes, as an int."""
+    if type(value) is int or isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"matching polynomial field {field!r} must be an integer, not {value!r}")
 
 
 def _widen(v: int, w: int, w2: int) -> int:

@@ -19,14 +19,15 @@ halves just the intervals on the way down to the top root.
 
 Every top root, polyroot's and the closed-form bounds', takes one route
 (`_nearest_top_root`) to the one float read off it: the double nearest
-it, decided by exact signs.  First a float Newton guess may certify the
-first bracket by Descartes' rule of signs: just below it, at c, one
+it, decided by exact signs.  First a float Newton guess x may certify
+the first bracket by Descartes' rule of signs: just below it, at c, one
 exact sign and one Taylor shift p(c + y) with a single sign variation
 show that p has one root above c, a simple one (Collins & Akritas,
-SYMSAC 1976).  The same guess then proposes a narrow bracket, which two
-exact signs confirm before the bisection starts from it (float search,
-exact certificate, as in Sagraloff & Mehlhorn, J. Symb. Comput. 73,
-2016).  Where the certificate fails (a multiple top root, a guess that
+SYMSAC 1976).  Each end of the bracket walks out from x in steps of 4,
+64, 1024, ... ulps until one exact sign confirms it, c at most down to
+x(1 - 2^-20) (float search, exact certificate, as in Sagraloff &
+Mehlhorn, J. Symb. Comput. 73, 2016), and the bisection starts from
+there.  Where the certificate fails (a multiple top root, a guess that
 is noise), the root is isolated on the integer Sturm chain and halved
 from there with no float guess.  The double comes with the rational
 bracket it was read from, which holds the top root and no other root.
@@ -396,12 +397,6 @@ def _horner(coeffs: list[float], x: float) -> tuple[float, float]:
     return f, df
 
 
-# half-widths, in ulps of the float guess, of the brackets tried around it:
-# guesses are a few ulps off up to about 20 edges, hundreds at 30, up to
-# 2^15 at 50 and up to 2^24 or more at 100
-_SEED_ULPS = (2**2, 2**8, 2**16, 2**26)
-
-
 def _float_top_root(p: Sequence) -> float | None:
     """A float guess at the largest root of p, or None where a float overflows:
     Newton's method down from Fujiwara's bound 2 max_k |a_(d-k) / a_d|^(1/k), on
@@ -419,17 +414,26 @@ def _float_top_root(p: Sequence) -> float | None:
     return x if isfinite(x) else None
 
 
+def _ulp_grid(x: float) -> tuple[int, int, int]:
+    """(X, U, E): x = X / E and ulp(x) = U / E, E the ulp's power-of-two denominator."""
+    (X, XD), (U, E) = x.as_integer_ratio(), ulp(x).as_integer_ratio()
+    return X * (E // XD), U, E
+
+
 def _below_top(p: Sequence) -> tuple[float, Fraction] | None:
-    """(x, c): a float guess x at the largest root of p (`_float_top_root`)
-    and c = x(1 - 2^-20) > 0 where p has the sign opposite to its leading
-    coefficient, by one exact sign, so p has an odd number of roots above c;
-    None where the guess fails or the sign does not confirm."""
+    """(x, c): a float guess x > 0 at the largest root of p (`_float_top_root`)
+    and the first c = x - w ulp(x), w = 4, 64, ..., 4 16^7 and last the most
+    ulps that keep c >= x(1 - 2^-20), where one exact sign gives p the sign
+    opposite to its leading coefficient, so p has an odd number of roots above
+    c; None where the guess fails or no step confirms."""
     x = _float_top_root(p)
-    if x is None:
+    if x is None or x <= 0:
         return None
-    c = Fraction(x * (1 - 2.0**-20))
-    if c > 0 and sign_at(p, c) == (p[-1] < 0) - (p[-1] > 0):
-        return x, c
+    X, U, E = _ulp_grid(x)
+    most, opposite = X // (U << 20), (p[-1] < 0) - (p[-1] > 0)
+    for w in [w for w in (4 * 16**j for j in range(8)) if w < most] + [most]:
+        if _sign_scaled(p, X - w * U, E) == opposite:
+            return x, Fraction(X - w * U, E)
     return None
 
 
@@ -451,34 +455,33 @@ def _nearest_from(
     p: Sequence, below: tuple | None, chains: _Chains
 ) -> tuple[float, int, tuple] | None:
     """The double nearest the largest real root of p, the number of exact
-    sign tests of q (below) from the first bracket (0 for a root met by
+    sign tests of q (below) it took past `below` (0 for a root met by
     isolation), and the final rational bracket, an open interval holding
     no other root of p or (x, x) for a root x that isolation or a halving
     lands on; None if no root.  `below` is `_below_top(p)`, taken by the
     caller; the Sturm route takes p's chain and its evaluations from `chains`.
 
-    A Descartes test comes first: at c from `_below_top`, p(c + y) with
-    one sign variation has one root y > 0, so (c, Cauchy bound + 1) holds
-    the top root, a simple one, and no other root.  That is the first
-    bracket, q is p and x is `_below_top`'s guess.  Otherwise (a multiple
+    A Descartes test comes first: at c from `_below_top`, where p has the
+    sign opposite to its leading coefficient, p(c + y) with one sign
+    variation has one root y > 0, so p has one root above c, a simple one.
+    There q is p, and the upper end walks up from `_below_top`'s guess x by
+    4, 64, 1024, ... ulps to the first point where one exact sign gives p
+    its leading sign, so the root lies below it (a zero sign walks on; past
+    the Cauchy bound every sign is the leading one).  Otherwise (a multiple
     top root, a guess that is noise) the root is isolated on p's integer
-    Sturm chain (`isolate_top_root`), q is p's square-free part, and the
-    halving starts from the isolating interval with no float guess.
+    Sturm chain (`isolate_top_root`), q is p's square-free part, and one
+    test of q's sign at the lower end of the isolating interval starts the
+    halving there, with no float guess.
 
-    On the Descartes route, the first of x +- w ulp(x), w in `_SEED_ULPS`,
-    that lies inside the first bracket and over which q changes sign, by
-    two exact tests, replaces it.  Where none does, the upper end becomes
-    the first u = x(1 + 2^-20 4^j), j = 0, 1, ..., below it where one test
-    gives p its leading sign: only one root lies above c, so it lies below
-    u (or is u, at a zero sign).  From there, sign bisection on q (as in
-    `refine_isolating`) runs until both ends round to the same double.
-    Once they round to two adjacent doubles, the sign at the midpoint of
-    those doubles decides which is nearer; a root exactly there is
-    rounded half to even.  An end past the largest double reads as +-inf.
+    From the first bracket, sign bisection on q (as in `refine_isolating`)
+    runs until both ends round to the same double.  Once they round to two
+    adjacent doubles, the sign at the midpoint of those doubles decides
+    which is nearer; a root exactly there is rounded half to even.  An end
+    past the largest double reads as +-inf.
     """
     p = trim(p)
     if below is not None and _sign_changes(taylor_shift(p, below[1])) == 1:
-        (x, a), b, q = below, cauchy_bound(p) + 1, p
+        (x, a), q, left = below, p, (p[-1] < 0) - (p[-1] > 0)
     else:
         top = isolate_top_root(p, evaluate=partial(chains.evaluate, p))
         if top is None:
@@ -493,31 +496,16 @@ def _nearest_from(
         tests += 1
         return _sign_scaled(q, n, d)
 
+    if x is None:  # the Sturm route
+        left = sign(a.numerator, a.denominator)
+    else:  # the Descartes route: `_below_top` took p's sign at c; the upper end walks up
+        X, U, E = _ulp_grid(x)
+        w = 4
+        while sign(X + w * U, E) != -left:
+            w *= 16
+        b = Fraction(X + w * U, E)
     D = lcm(a.denominator, b.denominator)
     A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
-    left = sign(A, D)
-    if x is not None:  # the Descartes route
-        # x and its ulp over one power-of-two denominator E; x is a
-        # multiple of its ulp, so E is the ulp's denominator
-        (X, XD), (U, E) = x.as_integer_ratio(), ulp(x).as_integer_ratio()
-        X *= E // XD
-        for w in _SEED_ULPS:
-            L, R = X - w * U, X + w * U
-            if not A * E < L * D < R * D < B * E:
-                break  # the wider brackets stick out too
-            if sign(L, E) == left and sign(R, E) == -left:
-                A, B, D = L, R, E
-                break
-        else:  # no width confirmed
-            t = 2.0**-20
-            while (u := x * (1 + t)) < b:
-                U, UD = u.as_integer_ratio()
-                if (s := sign(U, UD)) == 0:
-                    return u, tests, (Fraction(u),) * 2
-                if s == -left:
-                    A, B, D = A * UD, U * D, D * UD
-                    break
-                t *= 4
     fa, fb = _ratio(A, D), _ratio(B, D)  # only the end that moves needs a new division
     while fa != fb:
         if nextafter(fa, fb) == fb:

@@ -30,16 +30,16 @@ Route two, for hyperforests, reads rho off the matching polynomial:
 substituting z = x^r turns phi into x^(n-nu*r) p(z), and rho is the r-th
 root of the largest real root of p.  That root is read by
 the top-root kernel in `polynomials` that also serves the closed-form
-bounds.  Its first bracket is certified by Descartes' rule of signs: at
-c just below a float guess, one exact sign of p and one Taylor shift
-p(c + y) with a single sign variation show that p has exactly one root
-above c, a simple one.  Where that fails (a multiple top root, or a
-guess that is noise), the top root is isolated on an integer Sturm
-chain.  A narrow bracket from the float guess, confirmed by exact signs,
-and sign bisection in integer arithmetic then close in until both ends
-round to one double, the double nearest the root; its final rational
-bracket of rho^r is the certificate.  `SpectralResult.iterations` counts
-the power steps of route one and the exact sign tests of route two.
+bounds.  Its first bracket is certified by Descartes' rule of signs: c
+walks down from a float guess x by 4, 64, 1024, ... ulps, not below
+x(1 - 2^-20), until one exact sign of p confirms it, and p(c + y) with
+one sign variation has one root above c, a simple one; the upper end
+walks up from x until p takes its leading sign.  Where that fails (a
+multiple top root, or a guess that is noise), the top root is isolated
+on an integer Sturm chain.  Integer sign bisection then halves until
+both ends round to one double, the one nearest the root; its final
+rational bracket of rho^r is the certificate.  `SpectralResult.iterations`
+counts the power steps of route one and the exact sign tests of route two.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ class PowerIterationError(RuntimeError):
 @dataclass
 class SpectralResult:
     """`iterations`: power steps (power route) or the exact sign tests
-    that took rho^r from its first bracket, certified by Descartes' rule
-    of signs or else isolated on a Sturm chain, to the nearest double
-    (polyroot route, 0 for a rational rho^r met by isolation).
+    that took rho^r to the nearest double (polyroot route): the upper end's
+    walk from the float guess and the halvings, or the halvings from an
+    isolating interval (0 for a rational rho^r met by isolation).
     `certificate`: for polyroot, the final rational bracket of rho^r
     (`polynomials._nearest_top_root`), if H has an edge; for power, the
     intersection (lo, hi) of the float Collatz-Wielandt brackets of rho

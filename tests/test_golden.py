@@ -31,11 +31,11 @@ VERIFY_633 = (
     '"interpretation": "exact-nu", "passed": true}\n'
 )
 
-# iterations: the exact sign tests that take rho^r from its isolating
-# interval to one double
+# iterations: the exact sign tests that take rho^r from the float guess
+# to one double
 RHO_P4_POLY = (
-    '{"method": "poly", "polyroot": {"rho": 1.618033988749895, "iterations": 7}, '
-    '"rho": 1.618033988749895, "residual": null, "iterations": 7}\n'
+    '{"method": "poly", "polyroot": {"rho": 1.618033988749895, "iterations": 5}, '
+    '"rho": 1.618033988749895, "residual": null, "iterations": 5}\n'
 )
 
 BOUND_733 = '{"q": 1, "s": 0, "l": 3, "alpha0": 0.8179995807336579, "rho": 1.7645848132290711}\n'
@@ -52,11 +52,11 @@ DEFAULT_SUITE_JSON_SHA256 = "5f67c7bd24697d84b065fdb141aa06783e629624a9a4c0af83c
 
 # sha256 of polyroot's repr(rho) and iterations over every class up to
 # r=2 m=8, r=3 m=6, r=4 m=5; rho^r is the double nearest the exact root
-POLYROOT_SHA256 = "b257bfe06f4adde31de92637df0c4dec48e5852a03f8791c4e0cdc7547fef1f2"
+POLYROOT_SHA256 = "4f7070f9a583fc51353ba123d08099a727a8ca8f652b5df0248b96c3b6d9796f"
 
 # sha256 of compare_order's tags and witness JSON, both directions, on a
 # seeded set of random hypertree and doubled-forest pairs
-ORDER_SHA256 = "28da4216e200761a95e80e6e2e5b7028244c76777dba017c674fbcba15e33de4"
+ORDER_SHA256 = "b87e71231351f43fe819a4c33f65fc4fedfdf804ce69aacdd3e0662699bc65e9"
 
 # sha256 of the stdout of `htspec enumerate 7 2` (23 lines) and
 # `htspec enumerate 5 3` (8 lines)

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -171,6 +172,38 @@ def test_json_round_trip():
     assert data["coeffs"]["7"] == "1"
     assert data["coeffs"]["4"] == "-3"
     assert MatchPoly.from_json(phi.to_json()) == phi
+    assert MatchPoly.from_json_dict(phi.to_json_dict()) == phi
+    # ints are read as they are
+    ints = {"n": 7, "r": 3, "coeffs": {7: 1, "4": -3, "1": "1"}}
+    assert MatchPoly.from_json_dict(ints) == phi
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"n": 4, "r": 2, "coeffs": {"4": 1.5}}, "coeffs['4']"),
+        ({"n": 4, "r": 2, "coeffs": {"4": True}}, "coeffs['4']"),
+        ({"n": 4, "r": 2, "coeffs": {"4.0": 1}}, "coeffs"),
+        ({"n": 4, "r": 2, "coeffs": {"4": "1e0"}}, "coeffs['4']"),
+        ({"n": 4.0, "r": 2, "coeffs": {"4": 1}}, "n"),
+        ({"n": 4, "r": False, "coeffs": {"4": 1}}, "r"),
+        ({"n": 4, "r": 2, "coeffs": [[4, 1]]}, "coeffs"),
+        ({"r": 2, "coeffs": {"4": 1}}, "n"),
+        ({"n": 4, "coeffs": {"4": 1}}, "r"),
+        ({"n": 4, "r": 2}, "coeffs"),
+    ],
+)
+def test_json_rejects_malformed_fields(data, field):
+    with pytest.raises(ValueError, match=re.escape(f"field {field!r}")):
+        MatchPoly.from_json_dict(data)
+
+
+@pytest.mark.parametrize("data", [[], "x^4", 4, None])
+def test_json_rejects_non_objects(data):
+    with pytest.raises(ValueError, match="JSON object"):
+        MatchPoly.from_json_dict(data)
+    with pytest.raises(ValueError, match="JSON object"):
+        MatchPoly.from_json(json.dumps(data))
 
 
 def test_edges_at_vertex_rule():

@@ -381,6 +381,38 @@ def test_certificate_agrees_with_sturm_route(monkeypatch):
     assert [spectral_radius_polyroot(H).rho for H in forests] == rhos
 
 
+def test_walk_never_starts_below_the_fixed_step():
+    """Wherever c0 = x(1 - 2^-20), exact, below the float guess x would
+    certify the first bracket (p(c0) of the sign opposite to p's leading
+    coefficient, p(c0 + y) with one sign variation), the lower walk ends on
+    a c in [c0, x) that certifies it too: on every class up to the guards,
+    the seeded forests, every closed-form bound with r = 2..6 and m <= 30,
+    and one 100-edge hypertree.  Sign variations of p(c + y) do not grow
+    with c (Budan-Fourier), so the walk's last step must not go below c0."""
+    # the guess for random_hypertree(100, 3, Random(3)) lies more than 2^30
+    # ulps above the root: only the last step, at c0 rounded up, confirms
+    large = random_hypertree(100, 3, random.Random(3))
+    polys = [_z_poly(H) for H in _guarded_classes() + _seeded_forests() + [large]]
+    for r in range(2, 7):
+        for m in range(2, 31):
+            for k in range(1, m + 1):
+                ep = extremal_params(m, k, r)
+                if ep.feasible and (ep.q, ep.s, ep.l) != (0, 0, 0):
+                    G = _cleared_bound_poly(r, ep.q, ep.s, ep.l)
+                    polys.append(G[next(i for i, c in enumerate(G) if c) :])
+    certified = 0
+    for p in polys:
+        x = poly._float_top_root(p)
+        c0 = Fraction(x) * (1 - Fraction(1, 2**20))
+        if poly.sign_at(p, c0) != -_sign(p[-1]) or poly._sign_changes(poly.taylor_shift(p, c0)) != 1:
+            continue
+        below = poly._below_top(p)
+        assert below is not None and below[0] == x and c0 <= below[1] < x, p
+        assert poly._sign_changes(poly.taylor_shift(p, below[1])) == 1, p
+        certified += 1
+    assert certified == len(polys) > 1900
+
+
 def test_certificate_falls_back(monkeypatch):
     """A doubled top root, three roots so close that c falls below all of
     them, a float guess far above the root (as the guesses at m >= 200
@@ -417,9 +449,9 @@ def test_certificate_falls_back(monkeypatch):
 
 def test_polyroot_at_150_edges_builds_no_sturm_chain(monkeypatch):
     """At m = 150 the certificate still holds: polyroot calls no
-    `sturm_chain`, and its bracket holds the top root by Sturm count.  No
-    seed width confirms there, and the upper end widened above the guess
-    keeps the halvings to about 50: the same double as the Sturm route."""
+    `sturm_chain`, and its bracket holds the top root by Sturm count.  The
+    guess is far off there, and the bracket both walks confirm keeps the
+    sign tests to about 50: the same double as the Sturm route."""
     T = random_hypertree(150, 3, random.Random(1))
     p = _z_poly(T)
     calls = _spy_sturm_chain(monkeypatch)
@@ -435,22 +467,42 @@ def test_polyroot_at_150_edges_builds_no_sturm_chain(monkeypatch):
 
 
 def test_descartes_bracket_widens_above_a_far_guess(monkeypatch):
-    """With the guess at 8 and no seed width holding the root, the upper
-    end widens to 8(1 + 2^-20 4^j): at j = 0 it is the root itself
-    (a zero sign), at j = 2 it is the first end above 8 + 2^-14 + 2^-40,
-    and a root past every end below the Cauchy bound keeps that bound."""
+    """With the guess pinned at 8, the upper end walks up by 4 16^j ulps of
+    8 (2^-49): a root planted on the walk point j = 7 gives a zero sign and
+    the walk goes on to j = 8; 8 + 2^-17 is passed at j = 8, 8 + 2^-14 +
+    2^-40 at j = 9 and 10^6 + 1/3 at j = 17, past the Cauchy bound, where
+    every sign is the leading one.  Each ends on the nearest double."""
     monkeypatch.setattr(poly, "_float_top_root", lambda p: 8.0)
-    root = Fraction(8) + Fraction(1, 2**17)
-    # (root - z)(z - 1), leading sign -1: the left sign, two per seed width, u_0
-    top = poly._nearest_top_root(poly.mul([root.numerator, -root.denominator], [-1, 1]))
-    assert top == (8 + 2.0**-17, 1 + 2 * len(poly._SEED_ULPS) + 1, (root, root))
-    for root in (Fraction(8) + Fraction(1, 2**14) + Fraction(1, 2**40), Fraction(10**6) + Fraction(1, 3)):
+    points, sign_scaled = [], poly._sign_scaled
+
+    def recorded(q, n, d):
+        points.append((Fraction(n, d), sign_scaled(q, n, d)))
+        return points[-1][1]
+
+    monkeypatch.setattr(poly, "_sign_scaled", recorded)
+    step = Fraction(1, 2**49)  # ulp(8)
+    root = 8 + 4 * 16**7 * step
+    # (root - z)(z - 1), leading sign -1: one sign confirms c = 8 - 4 ulps
+    p = poly.mul([root.numerator, -root.denominator], [-1, 1])
+    top = poly._nearest_top_root(p)
+    walk = [(8 + 4 * 16**j * step, -1 if j > 7 else 0 if j == 7 else 1) for j in range(9)]
+    assert points[:10] == [(8 - 4 * step, 1)] + walk
+    assert top[0] == _plain_nearest(p) == float(root) and top[2][0] < root < top[2][1]
+    _assert_bracket(p, top)
+    # each root and the step j of the walk that passes it
+    far = ((8 + Fraction(1, 2**17), 8), (8 + Fraction(1, 2**14) + Fraction(1, 2**40), 9), (10**6 + Fraction(1, 3), 17))
+    for root, j in far:
         p = poly.mul([-root.numerator, root.denominator], [-1, 1])
-        below, ceiling = poly._below_top(p), poly.cauchy_bound(p) + 1
-        assert below is not None and poly._sign_changes(poly.taylor_shift(p, below[1])) == 1
+        below = poly._below_top(p)
+        assert below == (8.0, 8 - 4 * step) and poly._sign_changes(poly.taylor_shift(p, below[1])) == 1
+        points.clear()
         top = poly._nearest_top_root(p)
+        end = 8 + 4 * 16**j * step
+        assert [x for x, _ in points[1 : j + 2]] == [8 + 4 * 16**i * step for i in range(j + 1)]
+        assert points[j + 1][1] == 1 and all(s == -1 for _, s in points[1 : j + 1])
         assert top[0] == _plain_nearest(p) == float(root)
         _assert_bracket(p, top)
+    assert end > poly.cauchy_bound(p)
 
 
 def test_remainder_sequence_matches_reference_loops_on_every_class():
@@ -636,26 +688,29 @@ def _shifted_guess(monkeypatch, shift):
 )
 def test_wider_seed_brackets_confirm(monkeypatch, shift, width):
     """Float guesses drift from a few ulps (m <= 20) to 2^20 and more (m
-    near 100) as the polynomials grow.  A guess off by 2^5, 2^12 or 2^20
-    ulps is caught by the bracket of 2^8, 2^16 or 2^26 ulps: past the left
-    sign and at most two tests for each narrower width, its two tests and
-    the halvings down to one ulp leave far fewer tests than the about 50
-    halvings from the isolating interval."""
-    index = poly._SEED_ULPS.index(width)
-    most = 1 + 2 * index + 2 + (width.bit_length() + 1) + 1
+    near 100) as the polynomials grow.  From a guess x off by 2^5, 2^12 or
+    2^20 ulps, each end of the first bracket walks out by 4 16^j ulps
+    until one exact sign confirms it, within 2^8, 2^16 or 2^26 ulps of x:
+    the upper walk's few signs and the halvings down to one ulp stay within
+    16, 26 or 38 tests, far fewer than the about 50 halvings from the
+    isolating interval."""
+    most = {2**8: 16, 2**16: 26, 2**26: 38}[width]
     _shifted_guess(monkeypatch, shift)
     for p in _kernel_cases():
+        x, c = poly._below_top(p)
         top = poly._nearest_top_root(p)
         assert top[0] == _plain_nearest(p), (p, shift)
         _assert_bracket(p, top)
         assert top[1] <= most, (p, shift, top[1])
+        reach = width * Fraction(math.ulp(x))
+        assert x - reach <= c and top[2][1] <= x + reach, (p, shift)
 
 
 @pytest.mark.parametrize("shift", [2**30, -(2**30)])
 def test_seed_survives_a_bad_guess(monkeypatch, shift):
-    """A float guess 2^30 ulps off the root confirms no seed bracket, so the
-    halving starts from the Descartes bracket, its upper end widened above
-    the guess, and still ends on the nearest double."""
+    """A float guess 2^30 ulps off the root: the end on the root's side
+    walks past it, the lower one at most down to x(1 - 2^-20), and the
+    halving from that wide bracket still ends on the nearest double."""
     _shifted_guess(monkeypatch, shift)
     for p in _kernel_cases():
         top = poly._nearest_top_root(p)
