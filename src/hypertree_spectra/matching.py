@@ -83,6 +83,10 @@ class MatchPoly:
     coeffs: dict[int, int]
 
     def __post_init__(self):
+        if self.r < 2:
+            raise ValueError(f"matching polynomial field 'r' must be at least 2, not {self.r}")
+        if self.n < 0:
+            raise ValueError(f"matching polynomial field 'n' must be nonnegative, not {self.n}")
         self.coeffs = {e: c for e, c in self.coeffs.items() if c != 0}
         if self.coeffs.get(self.n) != 1:
             raise ValueError("leading term must be x^n with coefficient 1")

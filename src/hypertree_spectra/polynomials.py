@@ -7,30 +7,30 @@ gcd; rationals appear only as points (signs, interval ends).
 
 Real roots are handled in integers: `sign_at` takes signs at rationals
 by homogeneous Horner, Sturm chains have integer coefficients, isolation
-bisects on exact Sturm counts, and refinement bisects on the sign of the
-square-free part at dyadic points (Rouillier & Zimmermann, JCAM 162,
-2004).  Exact division is integer long division by a primitive divisor,
-so no polynomial is ever divided over the rationals.
+bisects on exact Sturm counts from +-(`root_bound` + 1), and refinement
+bisects on the sign of the square-free part at dyadic points (Rouillier &
+Zimmermann, JCAM 162, 2004).  Exact division is integer long division by
+a primitive divisor, so no polynomial is ever divided over the rationals.
 
 One lazy bisection, kept on a stack with no recursion, yields the
 isolating markers from the largest root down: all of them for
 `isolate_real_roots`, only the first for `isolate_top_root`, which so
 halves just the intervals on the way down to the top root.
 
-Every top root, polyroot's and the closed-form bounds', takes one route
-(`_nearest_top_root`) to the one float read off it: the double nearest
-it, decided by exact signs.  First a float Newton guess x may certify
-the first bracket by Descartes' rule of signs: just below it, at c, one
-exact sign and one Taylor shift p(c + y) with a single sign variation
-show that p has one root above c, a simple one (Collins & Akritas,
-SYMSAC 1976).  Each end of the bracket walks out from x in steps of 4,
-64, 1024, ... ulps until one exact sign confirms it, c at most down to
-x(1 - 2^-20) (float search, exact certificate, as in Sagraloff &
-Mehlhorn, J. Symb. Comput. 73, 2016), and the bisection starts from
-there.  Where the certificate fails (a multiple top root, a guess that
-is noise), the root is isolated on the integer Sturm chain and halved
-from there with no float guess.  The double comes with the rational
-bracket it was read from, which holds the top root and no other root.
+Every top root, polyroot's, the closed-form bounds' and the order's odd
+part's, takes one route (`_nearest_from`) to the one float read off it:
+the double nearest it, decided by exact signs.  First a float Newton
+guess x may certify the first bracket by Descartes' rule of signs: just
+below it, at c, one exact sign and one Taylor shift p(c + y) with a
+single sign variation show that p has one root above c, a simple one
+(Collins & Akritas, SYMSAC 1976).  Each end of the bracket walks out from
+x in steps of 4, 64, 1024, ... ulps until one exact sign confirms it, c
+at most down to x(1 - 2^-20) (float search, exact certificate, as in
+Sagraloff & Mehlhorn, J. Symb. Comput. 73, 2016), and the bisection
+starts from there.  Where the certificate fails (a multiple top root, a
+guess that is noise), the root is isolated on the integer Sturm chain
+and halved from there with no float guess.  The double comes with the
+rational bracket it was read from: the top root and no other root.
 
 Certified top roots are compared in one place (`_compare`): brackets
 that do not meet decide; where they meet, a root of the gcd there is
@@ -194,12 +194,16 @@ def odd_part(chain: list[Dense]) -> Dense:
     return primitive(out)
 
 
-def cauchy_bound(p: Sequence) -> Fraction:
-    """Every real root of p has absolute value below this bound."""
+def root_bound(p: Sequence) -> Fraction:
+    """Every real root of p has absolute value below this bound: the smaller of
+    Cauchy's 1 + max_k |a_k / a_d| and a power of two above Fujiwara's 2 max_k
+    |a_(d-k) / a_d|^(1/k), as |a_(d-k) / a_d| < 2^(bits(a_(d-k)) - bits(a_d) + 1)."""
     p = trim(p)
     if len(p) <= 1:
         return Fraction(1)
-    return 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
+    lead = abs(p[-1]).bit_length() - 1
+    e = max((-((lead - abs(c).bit_length()) // k) for k, c in enumerate(p[-2::-1], 1) if c), default=0)
+    return min(1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1])), Fraction(2) ** (e + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +265,7 @@ def count_real_roots(chain: list[Dense], a, b) -> int:
 
 def isolate_real_roots(p: Sequence, lo=None, hi=None, evaluate=None) -> list[tuple]:
     """Isolate the distinct real roots of p in (lo, hi), by default
-    +-(Cauchy bound + 1), whose ends must not be roots.
+    +-(`root_bound` + 1), whose ends must not be roots.
 
     Returns markers in increasing order, each either ("point", q) for an
     exact rational root or ("interval", a, b) for an open interval holding
@@ -291,9 +295,8 @@ def _roots_down(p: Sequence, lo, hi, evaluate):
     p = trim(p)
     if len(p) <= 1:
         return
-    bound = cauchy_bound(p) + 1 if lo is None or hi is None else None
-    lo = Fraction(lo) if lo is not None else -bound
-    hi = Fraction(hi) if hi is not None else bound
+    bound = root_bound(p) + 1
+    lo, hi = Fraction(-bound if lo is None else lo), Fraction(bound if hi is None else hi)
     evaluate = evaluate or partial(_variations, sturm_chain(p))
     (sa, va), (sb, vb) = evaluate(lo), evaluate(hi)
     if not (sa and sb):
@@ -467,7 +470,7 @@ def _nearest_from(
     There q is p, and the upper end walks up from `_below_top`'s guess x by
     4, 64, 1024, ... ulps to the first point where one exact sign gives p
     its leading sign, so the root lies below it (a zero sign walks on; past
-    the Cauchy bound every sign is the leading one).  Otherwise (a multiple
+    `root_bound` every sign is the leading one).  Otherwise (a multiple
     top root, a guess that is noise) the root is isolated on p's integer
     Sturm chain (`isolate_top_root`), q is p's square-free part, and one
     test of q's sign at the lower end of the isolating interval starts the
@@ -475,9 +478,9 @@ def _nearest_from(
 
     From the first bracket, sign bisection on q (as in `refine_isolating`)
     runs until both ends round to the same double.  Once they round to two
-    adjacent doubles, the sign at the midpoint of those doubles decides
-    which is nearer; a root exactly there is rounded half to even.  An end
-    past the largest double reads as +-inf.
+    adjacent doubles, the sign at the midpoint of those doubles (an end's is
+    known) decides which is nearer; a root exactly there is rounded half to
+    even.  An end past the largest double reads as +-inf.
     """
     p = trim(p)
     if below is not None and _sign_changes(taylor_shift(p, below[1])) == 1:
@@ -509,9 +512,9 @@ def _nearest_from(
     fa, fb = _ratio(A, D), _ratio(B, D)  # only the end that moves needs a new division
     while fa != fb:
         if nextafter(fa, fb) == fb:
-            tie = (Fraction(fa) + Fraction(fb)) / 2
-            s = sign(tie.numerator, tie.denominator)
-            x = float(tie) if s == 0 else fa if s != left else fb
+            n, d = ((Fraction(fa) + Fraction(fb)) / 2).as_integer_ratio()
+            s = left if n * D == A * d else -left if n * D == B * d else sign(n, d)
+            x = n / d if s == 0 else fa if s != left else fb
             return x, tests, (Fraction(A, D), Fraction(B, D))
         mid, A, B, D = A + B, 2 * A, 2 * B, 2 * D
         s, fm = sign(mid, D), _ratio(mid, D)

@@ -16,15 +16,14 @@ rho(T1)^r > c, and D(c + y) with no negative coefficient and a positive
 constant term is > 0 for y >= 0 by the rule of signs.  Otherwise D's odd
 part O, the product of its square-free factors of odd multiplicity, has
 D's sign off D's roots and only simple roots, so D >= 0 beyond rho(T1)^r
-exactly when O's top root is not above it: one comparison of certified
-top roots (`polynomials._compare`), and a gcd tells whether D vanishes
-at rho(T1)^r.  No verdict rests on floats.
+exactly when O's top root, from the same top-root kernel, is not above
+it: one comparison (`polynomials._compare`), and a gcd tells whether D
+vanishes at rho(T1)^r.  No verdict rests on floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from . import polynomials as poly
@@ -128,12 +127,12 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
     D and O have the same sign off the roots of D, and every root of O is simple.
     So D >= 0 on [z1, infinity) exactly when O is constant or O's top root is
     <= z1, which one comparison of certified top roots decides.  z1's bracket
-    comes from the top-root kernel, or is the point 0, as the root of z, for an
-    edgeless p1; O's top root is isolated above its lower end, moved down while O
-    vanishes there.  D(z1) = 0 exactly when the comparison finds O's top root at
-    z1 or gcd(p1, D) has a root in z1's bracket.  The witness records that
-    bracket (`boundary`), whether the difference vanishes at rho1, and O's top-root
-    bracket (`odd_top`, null where O has no root at or above `boundary[0]`).
+    comes from the top-root kernel (on z for an edgeless p1: the point 0), and
+    O's from the same kernel, unless O shifted to its lower end has no sign
+    variation, so no root above it.  D(z1) = 0 exactly when the comparison finds
+    O's top root at z1 or gcd(p1, D) has a root in z1's bracket.  The witness
+    records that bracket (`boundary`), whether the difference vanishes at rho1,
+    and O's (`odd_top`, null where O has no root above `boundary[0]`).
     """
     witness: dict = {}
     D = poly.trim(D)
@@ -155,25 +154,14 @@ def _dominates_from(p1: list[int], D: list[int], trailing_exp: int) -> tuple[boo
 
     # one Sturm chain per polynomial and one evaluation per (polynomial, point)
     chains = poly._Chains()
-    if len(p1) == 1:  # an edgeless hyperforest pins the boundary at z = 0, the root of z
-        z, bracket = [0, 1], (Fraction(0), Fraction(0))
-    else:
-        z, bracket = p1, poly._nearest_from(p1, below, chains)[2]
+    z = p1 if len(p1) > 1 else [0, 1]  # an edgeless hyperforest's boundary is z = 0, the root of z
+    bracket = poly._nearest_from(z, below, chains)[2]
     # D's chain ends in gcd(D, D'), and is O's own chain where D is square-free
     odd = poly.odd_part(chains.chain(D))
-    top = None  # O's top-root bracket
-    if len(odd) > 1:
-        lo = bracket[0]
-        shifted = poly.taylor_shift(odd, lo)
-        while shifted[0] == 0:  # lo must not be a root of O
-            lo -= 1
-            shifted = poly.taylor_shift(odd, lo)
-        # with no sign variation O has no root above lo, by the rule of signs
-        if poly._sign_changes(shifted):
-            hi = poly.cauchy_bound(odd) + 1
-            marker = poly.isolate_top_root(odd, lo, hi, evaluate=lambda x: chains.evaluate(odd, x))
-            if marker is not None:
-                top = (marker[1], marker[-1])
+    top = None  # O's top-root bracket; None where O has no root above z1's lower end
+    if len(odd) > 1 and poly._sign_changes(poly.taylor_shift(odd, bracket[0])):  # rule of signs
+        nearest = poly._nearest_from(odd, poly._below_top(odd), chains)  # None: no real root
+        top = nearest and nearest[2]
     order = None if top is None else poly._compare((odd, top), (z, bracket), chains)
     # O's top root at z1 is a root of D, so the gcd is asked only otherwise;
     # at rho1 = 0 the x^trailing_exp factor can force the vanishing

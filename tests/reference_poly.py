@@ -89,10 +89,10 @@ def isolate_top_root(p: Sequence, lo=None, hi=None, evaluate=None) -> tuple | No
 
 
 def _isolation_start(p, lo, hi, evaluate) -> tuple:
-    """(lo, hi, evaluate, va, vb): the ends, by default +-(Cauchy bound + 1),
+    """(lo, hi, evaluate, va, vb): the ends, by default +-(`root_bound` + 1),
     the evaluation, by default on p's Sturm chain, and the sign variations
     at the ends, which must not be roots."""
-    bound = poly.cauchy_bound(p) + 1 if lo is None or hi is None else None
+    bound = poly.root_bound(p) + 1 if lo is None or hi is None else None
     lo = Fraction(lo) if lo is not None else -bound
     hi = Fraction(hi) if hi is not None else bound
     evaluate = evaluate or partial(poly._variations, poly.sturm_chain(p))

@@ -96,7 +96,8 @@ def test_rho_power_bracket(capsys, tree_file):
 
 def test_rho_poly_on_a_bound_above_the_largest_double(capsys, tmp_path):
     """650 disjoint copies of R_1 at r = 3 have p(z) = (z - 2)^650, whose
-    Cauchy bound exceeds 2^1024: the exact halving still ends on rho = 2^(1/3)."""
+    coefficients and Cauchy bound exceed 2^1024: the exact route still ends
+    on rho = 2^(1/3)."""
     R = build_Ra(1, 3)
     path = tmp_path / "forest.json"
     edges = [[v + i * R.n for v in e] for i in range(650) for e in R.edges]

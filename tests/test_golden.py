@@ -56,7 +56,7 @@ POLYROOT_SHA256 = "4f7070f9a583fc51353ba123d08099a727a8ca8f652b5df0248b96c3b6d97
 
 # sha256 of compare_order's tags and witness JSON, both directions, on a
 # seeded set of random hypertree and doubled-forest pairs
-ORDER_SHA256 = "b87e71231351f43fe819a4c33f65fc4fedfdf804ce69aacdd3e0662699bc65e9"
+ORDER_SHA256 = "2d217ce26b9c9e0afc9e0fc81a1b765de74792fb16821067b399ec101e3f329c"
 
 # sha256 of the stdout of `htspec enumerate 7 2` (23 lines) and
 # `htspec enumerate 5 3` (8 lines)

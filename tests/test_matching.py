@@ -191,6 +191,9 @@ def test_json_round_trip():
         ({"r": 2, "coeffs": {"4": 1}}, "n"),
         ({"n": 4, "coeffs": {"4": 1}}, "r"),
         ({"n": 4, "r": 2}, "coeffs"),
+        ({"n": 3, "r": 0, "coeffs": {"3": 1}}, "r"),
+        ({"n": 3, "r": 1, "coeffs": {"3": 1}}, "r"),
+        ({"n": -2, "r": 2, "coeffs": {"-2": 1}}, "n"),
     ],
 )
 def test_json_rejects_malformed_fields(data, field):

@@ -1,9 +1,27 @@
 """The package's public names, listed in full so that any change to the
-interface shows up in a diff of this file."""
+interface shows up in a diff of this file, and the input checks of the
+public entry points."""
 
+import re
 import types
 
+import pytest
+
 import hypertree_spectra
+from hypertree_spectra import (
+    Hypergraph,
+    SuiteConfig,
+    build_S,
+    edge_release,
+    extremal_params,
+    hyperstar,
+    is_isomorphic,
+    majorization_chain,
+    relabel,
+    residual,
+    spectral_radius_polyroot,
+    spectral_radius_power,
+)
 
 PUBLIC_NAMES = [
     "BoundResult",
@@ -99,3 +117,37 @@ def test_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+EDGE = Hypergraph(2, 3, [(0, 1)])
+TRIANGLE = Hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: hyperstar(2, 1), "edge size must be at least 2"),
+        (lambda: build_S([], 3), "need at least one star edge"),
+        (lambda: build_S([-1], 3), "pendant counts must be nonnegative"),
+        (lambda: extremal_params(3, 2, 1), "edge size must be at least 2"),
+        (lambda: Hypergraph(2, -1), "vertex count must be nonnegative, got -1"),
+        (lambda: Hypergraph(2, 3, [()]), "empty edge"),
+        (lambda: relabel(EDGE, [0, 0, 1]), "not a permutation of the vertex ids"),
+        (lambda: residual(EDGE, 1.0, [1.0, 1.0]), "vector has shape (2,), expected (3,)"),
+        (lambda: spectral_radius_power(Hypergraph(2, 0)), "empty hypergraph has no spectrum"),
+        (lambda: spectral_radius_polyroot(Hypergraph(2, 0)), "empty hypergraph has no spectrum"),
+        (lambda: edge_release(TRIANGLE, (0, 1)), "edge release is defined on linear hyperforests"),
+        (lambda: majorization_chain([3, 0], [2, 1]), "first vector must be majorized by the second"),
+        (
+            lambda: SuiteConfig.from_json_dict({"ranges": [[2, 5]]}),
+            "suite field 'ranges' must be a list of objects with 'r' and 'm_max'",
+        ),
+    ],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_isomorphism_needs_equal_order():
+    assert not is_isomorphic(Hypergraph(2, 2, [(0, 1)]), EDGE)

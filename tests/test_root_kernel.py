@@ -143,7 +143,7 @@ def _assert_nearest_double(p, x):
     round to x (halfway to each neighbouring double) hold a root of p and
     none lies above them.  Exact Sturm counts."""
     chain = poly.sturm_chain(p)
-    top = poly.cauchy_bound(p) + 1
+    top = poly.root_bound(p) + 1
     below = (Fraction(x) + Fraction(math.nextafter(x, -math.inf))) / 2
     above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
     assert poly.sign_at(p, below) != 0 and poly.sign_at(p, above) != 0
@@ -164,7 +164,7 @@ def _assert_bracket(p, top):
         assert poly.sign_at(p, a) == 0 and last[1] <= a <= last[-1]
     else:
         chain = poly.sturm_chain(p)
-        ceiling = poly.cauchy_bound(p) + 1
+        ceiling = poly.root_bound(p) + 1
         assert poly.sign_at(p, a) != 0 and poly.sign_at(p, b) != 0
         assert poly.count_real_roots(chain, a, b) == 1
         assert b < ceiling and poly.count_real_roots(chain, b, ceiling) == 0
@@ -220,7 +220,7 @@ def test_bounds_are_nearest_doubles():
 def test_bound_takes_the_descartes_route(monkeypatch):
     """The bound reads alpha0 as G's largest real root, with no interval:
     on every feasible triple with r = 2..6 and m <= 30, G has no root in
-    [1, Cauchy bound + 1) by Sturm count, alpha0 lies in (0, 1), and
+    [1, `root_bound` + 1) by Sturm count, alpha0 lies in (0, 1), and
     `rho_bound` builds no Sturm chain."""
     calls = _spy_sturm_chain(monkeypatch)
     cases = 0
@@ -236,7 +236,7 @@ def test_bound_takes_the_descartes_route(monkeypatch):
                 assert 0 < alpha0 < 1, (m, k, r)
                 G = _cleared_bound_poly(r, ep.q, ep.s, ep.l)
                 G = G[next(i for i, c in enumerate(G) if c) :]
-                ceiling = poly.cauchy_bound(G) + 1
+                ceiling = poly.root_bound(G) + 1
                 assert poly.sign_at(G, 1) > 0
                 assert poly.count_real_roots(poly.sturm_chain(G), 1, ceiling) == 0, (m, k, r)
                 cases += 1
@@ -355,12 +355,62 @@ def _seeded_forests():
     return forests
 
 
+def _cauchy(p):
+    """Cauchy's bound 1 + max_k |a_k / a_d|."""
+    return 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
+
+
+def _planted(rng):
+    """A small random polynomial times one to four linear factors with an
+    integer, a power-of-two or a rational root."""
+    p = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [rng.randint(1, 9)]
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            root = Fraction(rng.randint(-60, 60))
+        elif kind == 1:
+            root = rng.choice((-1, 1)) * Fraction(2) ** rng.randint(-12, 40)
+        else:
+            root = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+        p = poly.mul(p, [-root.numerator, root.denominator])
+    return p
+
+
+def test_root_bound_encloses_every_real_root():
+    """`root_bound` lies strictly above every real root's absolute value, never
+    above Cauchy's bound: Sturm counts at +-B equal those at +-(Cauchy + 1)
+    (and +-B are not roots), on every class up to the guards, every feasible
+    closed-form bound with r = 2..6 and m <= 30, and 2,000 seeded polynomials
+    with planted roots.  On a 200-edge hypertree B is at most 2^10, where
+    Cauchy's bound passes 2^129."""
+    polys = [_z_poly(H) for H in _guarded_classes()]
+    for r in range(2, 7):
+        for m in range(2, 31):
+            for k in range(1, m + 1):
+                ep = extremal_params(m, k, r)
+                if ep.feasible and (ep.q, ep.s, ep.l) != (0, 0, 0):
+                    polys.append(_cleared_bound_poly(r, ep.q, ep.s, ep.l))
+    rng = random.Random(11)
+    polys += [_planted(rng) for _ in range(2000)]
+    assert len(polys) > 2800
+    for p in polys:
+        p = poly.trim(p)
+        if len(p) <= 1:
+            continue
+        B, C = poly.root_bound(p), _cauchy(p) + 1
+        chain = poly.sturm_chain(p)
+        assert 0 < B <= C - 1, p
+        assert poly.count_real_roots(chain, -B, B) == poly.count_real_roots(chain, -C, C), p
+    p = _z_poly(random_hypertree(200, 3, random.Random(1)))
+    assert poly.root_bound(p) <= 2**10 and _cauchy(p) > 2**129
+
+
 def test_certificate_agrees_with_sturm_route(monkeypatch):
     """On every class up to the guards and on seeded random hyperforests up
     to m = 100, the Descartes test certifies polyroot's first bracket with
     no Sturm chain (the fallback runs on none of them); rho is the same
     bytes as with the test switched off, and each certified bracket
-    (c, Cauchy bound + 1) holds one root of p by Sturm count, the final
+    (c, `root_bound` + 1) holds one root of p by Sturm count, the final
     bracket one root and none above it."""
     forests = _guarded_classes() + _seeded_forests()
     polys = [_z_poly(H) for H in forests]
@@ -375,7 +425,7 @@ def test_certificate_agrees_with_sturm_route(monkeypatch):
     monkeypatch.undo()
     for p, top in zip(polys, tops):
         _, c = poly._below_top(p)
-        assert poly.count_real_roots(poly.sturm_chain(p), c, poly.cauchy_bound(p) + 1) == 1
+        assert poly.count_real_roots(poly.sturm_chain(p), c, poly.root_bound(p) + 1) == 1
         _assert_bracket(p, top)
     monkeypatch.setattr(poly, "_below_top", lambda p: None)
     assert [spectral_radius_polyroot(H).rho for H in forests] == rhos
@@ -416,8 +466,9 @@ def test_walk_never_starts_below_the_fixed_step():
 def test_certificate_falls_back(monkeypatch):
     """A doubled top root, three roots so close that c falls below all of
     them, a float guess far above the root (as the guesses at m >= 200
-    are) and a polynomial with no root take the Sturm route to the same
-    double; one edge keeps its point certificate (1, 1)."""
+    are), a polynomial with no root and one whose root bound passes the
+    largest double take the Sturm route to the same double; one edge
+    keeps its point certificate (1, 1)."""
     calls = _spy_sturm_chain(monkeypatch)
     p = [1]
     # 18 and two roots within 18 * 2^-21 below it
@@ -436,6 +487,13 @@ def test_certificate_falls_back(monkeypatch):
     assert calls and doubled.rho == alone.rho
     calls.clear()
     assert poly._nearest_top_root([1, 0, 1]) is None and calls  # z^2 + 1
+    # complex roots of modulus 2^1050 over the top root 2: the isolation
+    # starts past the largest double, whose ends read as +-inf
+    p = poly.mul([-2, 1], [2**2100, 0, 1])
+    calls.clear()
+    top = poly._nearest_top_root(p)
+    assert calls and poly.root_bound(p) > 2**1024 and top[0] == 2.0
+    _assert_bracket(p, top)
     assert spectral_radius_polyroot(Hypergraph(3, 4)).rho == 0.0  # edgeless: no kernel call
     for r in range(2, 7):
         calls.clear()
@@ -470,7 +528,7 @@ def test_descartes_bracket_widens_above_a_far_guess(monkeypatch):
     """With the guess pinned at 8, the upper end walks up by 4 16^j ulps of
     8 (2^-49): a root planted on the walk point j = 7 gives a zero sign and
     the walk goes on to j = 8; 8 + 2^-17 is passed at j = 8, 8 + 2^-14 +
-    2^-40 at j = 9 and 10^6 + 1/3 at j = 17, past the Cauchy bound, where
+    2^-40 at j = 9 and 10^6 + 1/3 at j = 17, past `root_bound`, where
     every sign is the leading one.  Each ends on the nearest double."""
     monkeypatch.setattr(poly, "_float_top_root", lambda p: 8.0)
     points, sign_scaled = [], poly._sign_scaled
@@ -502,7 +560,7 @@ def test_descartes_bracket_widens_above_a_far_guess(monkeypatch):
         assert points[j + 1][1] == 1 and all(s == -1 for _, s in points[1 : j + 1])
         assert top[0] == _plain_nearest(p) == float(root)
         _assert_bracket(p, top)
-    assert end > poly.cauchy_bound(p)
+    assert end > poly.root_bound(p)
 
 
 def test_remainder_sequence_matches_reference_loops_on_every_class():

@@ -200,37 +200,37 @@ def test_compare_order_evaluates_each_point_once(monkeypatch):
 
 def test_compare_order_tests_each_sign_once(monkeypatch):
     """One exact sign test per (polynomial, point) within a boundary search,
-    counting the tests made inside the helpers it calls, and none where
-    that polynomial's Sturm chain was already evaluated: the chain's first
-    element gives the sign there.  The total adds the sign tests the top-root
-    kernel counts while it halves z1's bracket."""
+    the kernel's, `_below_top`'s and `refine_isolating`'s alike, and none
+    where that polynomial's Sturm chain was already evaluated: the chain's
+    first element gives the sign there.  A sign test is a `_sign_scaled`
+    call made outside `_variations`."""
     from hypertree_spectra import disjoint_union, random_hyperforest
     from hypertree_spectra import polynomials as poly
     from hypertree_spectra import transforms
 
     seen = []
     chained = set()  # (chain's first element, point) evaluated in this call
+    in_chain = False
     tests = 0
-    sign_at = poly.sign_at
+    sign_scaled = poly._sign_scaled
     variations = poly._variations
     dominates = transforms._dominates_from
-    nearest = poly._nearest_from
 
-    def counted(p, x):
-        key = (tuple(p), Fraction(x))
-        assert key not in chained
-        seen.append(key)
-        return sign_at(p, x)
+    def counted(p, n, d):
+        if not in_chain:
+            key = (tuple(p), Fraction(n, d))
+            assert key not in chained
+            seen.append(key)
+        return sign_scaled(p, n, d)
 
     def counted_chain(chain, x):
+        nonlocal in_chain
         chained.add((tuple(chain[0]), Fraction(x)))
-        return variations(chain, x)
-
-    def kernel_tests(*args):
-        nonlocal tests
-        out = nearest(*args)
-        tests += out[1]
-        return out
+        in_chain = True
+        try:
+            return variations(chain, x)
+        finally:
+            in_chain = False
 
     def one_call(*args):
         nonlocal tests
@@ -241,9 +241,8 @@ def test_compare_order_tests_each_sign_once(monkeypatch):
         tests += len(seen)
         return out
 
-    monkeypatch.setattr(poly, "sign_at", counted)
+    monkeypatch.setattr(poly, "_sign_scaled", counted)
     monkeypatch.setattr(poly, "_variations", counted_chain)
-    monkeypatch.setattr(poly, "_nearest_from", kernel_tests)
     monkeypatch.setattr(transforms, "_dominates_from", one_call)
     rng = random.Random(7)
     for _ in range(40):
@@ -519,3 +518,61 @@ def test_descartes_certificate_decides_at_m150():
     T = random_hypertree(150, 3, random.Random(1))
     rel = compare_order(T, build_A(150, matching_number(T), 3))
     assert rel.tag == PRECEDES_STRICT and "descartes" in rel.witness
+
+
+def _odd_part_of_difference(T1, T2):
+    """O of `_dominates_from(p1, D, ...)` for T1 against T2: the odd part of
+    T1's z-polynomial less T2's, aligned as `compare_order` aligns them."""
+    from hypertree_spectra import matching_counts
+    from hypertree_spectra import polynomials as poly
+
+    prof1, prof2 = matching_counts(T1), matching_counts(T2)
+    nu = max(prof1.nu, prof2.nu)
+    D = poly.sub(poly.mul_xpow(prof1.z_poly(), nu - prof1.nu), poly.mul_xpow(prof2.z_poly(), nu - prof2.nu))
+    return poly.odd_part(poly.sturm_chain(poly.primitive(D)))
+
+
+def _r1_pair():
+    """40 copies of R_1 (r = 3), less one pendant edge, against all 40."""
+    from functools import reduce
+
+    from hypertree_spectra import disjoint_union
+
+    F = reduce(disjoint_union, [build_Ra(1, 3)] * 40)
+    return delete_edge(F, F.edges[-1]), F
+
+
+def _doubled_pair():
+    """A doubled 12-edge hypertree against a two-tree hyperforest."""
+    from hypertree_spectra import disjoint_union, random_hyperforest
+
+    rng = random.Random(1)
+    t = random_hypertree(12, 3, rng)
+    return disjoint_union(t, t), random_hyperforest([11, 13], 3, rng)
+
+
+@pytest.mark.parametrize("pair, tag", [(_r1_pair, "precedes_weak"), (_doubled_pair, "incomparable")])
+def test_odd_top_is_the_kernels_nearest_double_bracket(pair, tag):
+    """O's top root takes the top-root kernel's route: the witness's `odd_top`
+    is `_nearest_top_root(O)`'s bracket, whose ends round to one double or to
+    two adjacent doubles."""
+    import math
+
+    from hypertree_spectra import polynomials as poly
+
+    T1, T2 = pair()
+    rel = compare_order(T1, T2)
+    assert rel.tag == tag
+    witness = rel.witness.get("forward", rel.witness)
+    a, b = (Fraction(x) for x in witness["odd_top"])
+    assert (a, b) == poly._nearest_top_root(_odd_part_of_difference(T1, T2))[2]
+    assert float(b) in (float(a), math.nextafter(float(a), math.inf))
+
+
+def test_odd_part_without_real_roots():
+    """O = z^2 - 4z + 5 has two sign variations above z1 = 1 but no real
+    root, so it has no root above z1: weak, with no `odd_top`."""
+    from hypertree_spectra.transforms import _dominates_from
+
+    weak, vanishes, witness = _dominates_from([-1, 1], [5, -4, 1], 0)
+    assert weak and not vanishes and witness["odd_top"] is None
