@@ -7,10 +7,11 @@ gcd; rationals appear only as points (signs, interval ends).
 
 Real roots are handled in integers: `sign_at` takes signs at rationals
 by homogeneous Horner, Sturm chains have integer coefficients, isolation
-bisects on exact Sturm counts from +-(`root_bound` + 1), and refinement
-bisects on the sign of the square-free part at dyadic points (Rouillier &
-Zimmermann, JCAM 162, 2004).  Exact division is integer long division by
-a primitive divisor, so no polynomial is ever divided over the rationals.
+bisects on exact Sturm counts from +-(`root_bound` + 1), and one bisection
+on the sign of the square-free part at dyadic points (`_bisect`; Rouillier
+& Zimmermann, JCAM 162, 2004) refines roots and halves to the nearest
+double.  Exact division is integer long division by a primitive divisor,
+so no polynomial is ever divided over the rationals.
 
 One lazy bisection, kept on a stack with no recursion, yields the
 isolating markers from the largest root down: all of them for
@@ -23,14 +24,14 @@ the double nearest it, decided by exact signs.  First a float Newton
 guess x may certify the first bracket by Descartes' rule of signs: just
 below it, at c, one exact sign and one Taylor shift p(c + y) with a
 single sign variation show that p has one root above c, a simple one
-(Collins & Akritas, SYMSAC 1976).  Each end of the bracket walks out from
-x in steps of 4, 64, 1024, ... ulps until one exact sign confirms it, c
-at most down to x(1 - 2^-20) (float search, exact certificate, as in
-Sagraloff & Mehlhorn, J. Symb. Comput. 73, 2016), and the bisection
-starts from there.  Where the certificate fails (a multiple top root, a
-guess that is noise), the root is isolated on the integer Sturm chain
-and halved from there with no float guess.  The double comes with the
-rational bracket it was read from: the top root and no other root.
+(Collins & Akritas, SYMSAC 1976).  Both ends of the bracket take one walk
+(`_walk`) out from x in steps of 4, 64, 1024, ... ulps to the first exact
+sign that confirms it, c at most down to x(1 - 2^-20) (float search, exact
+certificate, as in Sagraloff & Mehlhorn, J. Symb. Comput. 73, 2016), and
+the bisection starts from there.  Where the certificate fails (a multiple
+top root, a guess that is noise), the root is isolated on the integer Sturm
+chain and halved from there with no float guess.  The double comes with
+the rational bracket it was read from: the top root and no other root.
 
 Certified top roots are compared in one place (`_compare`): brackets
 that do not meet decide; where they meet, a root of the gcd there is
@@ -43,7 +44,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import exp, gcd, inf, isfinite, lcm, log, nextafter, ulp
+from itertools import count
+from math import copysign, exp, gcd, inf, isfinite, lcm, log, nextafter, ulp
 from typing import Sequence
 
 Dense = list
@@ -358,26 +360,31 @@ def _square_free(chain: list[Dense]) -> Dense:
 
 def refine_isolating(q: Sequence, a: Fraction, b: Fraction, width: Fraction) -> tuple:
     """Shrink an interval holding one root of q, where q changes sign, below
-    `width` by sign bisection: the root lies left of a midpoint exactly when
-    q changes sign there.  For a root of p of even multiplicity, pass p's
-    square-free part `_square_free(sturm_chain(p))`, whose roots are those of
-    p, all simple.  Endpoints are integers A/D, B/D.  May collapse to a
-    ("point", mid) marker when the root is rational.
+    `width`: one sign at a, then the one sign bisection `_bisect`.  For a
+    root of p of even multiplicity, pass p's square-free part
+    `_square_free(sturm_chain(p))`, whose roots are those of p, all simple.
+    May collapse to a ("point", mid) marker when the root is rational.
     """
     a, b, width = Fraction(a), Fraction(b), Fraction(width)
+    A, B, D, _ = _bisect(q, a, b, sign_at(q, a), lambda A, B, D: (B - A) * width.denominator <= width.numerator * D)
+    return ("point", Fraction(A, D)) if A == B else ("interval", Fraction(A, D), Fraction(B, D))
+
+
+def _bisect(q: Sequence, a: Fraction, b: Fraction, left: int, done) -> tuple[int, int, int, int]:
+    """The kernel's one sign bisection: (A, B, D, n), (a, b) halved as A/D,
+    B/D over one denominator on the sign of q (`left` at a) until `done(A,
+    B, D)`, checked before each halving, holds, or up to a midpoint that is
+    a root, with A == B there; n is the number of signs of q taken."""
     D = lcm(a.denominator, b.denominator)
     A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
-    left = _sign_scaled(q, A, D)
-    while (B - A) * width.denominator > width.numerator * D:
-        mid, A, B, D = A + B, 2 * A, 2 * B, 2 * D
+    n = 0
+    while not done(A, B, D):
+        mid, A, B, D, n = A + B, 2 * A, 2 * B, 2 * D, n + 1
         s = _sign_scaled(q, mid, D)
         if s == 0:
-            return ("point", Fraction(mid, D))
-        if s != left:
-            B = mid
-        else:
-            A = mid
-    return ("interval", Fraction(A, D), Fraction(B, D))
+            return mid, mid, D, n
+        A, B = (A, mid) if s != left else (mid, B)
+    return A, B, D, n
 
 
 def taylor_shift(p: Sequence, x: Fraction) -> Dense:
@@ -417,27 +424,32 @@ def _float_top_root(p: Sequence) -> float | None:
     return x if isfinite(x) else None
 
 
-def _ulp_grid(x: float) -> tuple[int, int, int]:
-    """(X, U, E): x = X / E and ulp(x) = U / E, E the ulp's power-of-two denominator."""
+def _walk(q: Sequence, x: float, want: int, down: bool = False) -> tuple[Fraction, int] | None:
+    """The kernel's one ulp walk: (c, n), the first c = x + w ulp(x) (x - w
+    ulp(x) down), w = 4 16^j, where one exact sign of q is `want`, and the n
+    signs taken.  Up the steps never end; down the last is the most ulps
+    that keep c >= x(1 - 2^-20), and None means that none confirmed."""
     (X, XD), (U, E) = x.as_integer_ratio(), ulp(x).as_integer_ratio()
-    return X * (E // XD), U, E
+    X = X * (E // XD)
+    most, U = (X // (U << 20), -U) if down else (inf, U)  # up: no last step
+    for n in count(1):
+        w = min(4 * 16 ** (n - 1), most)
+        if _sign_scaled(q, X + w * U, E) == want:
+            return Fraction(X + w * U, E), n
+        if w == most:
+            return None
 
 
 def _below_top(p: Sequence) -> tuple[float, Fraction] | None:
     """(x, c): a float guess x > 0 at the largest root of p (`_float_top_root`)
-    and the first c = x - w ulp(x), w = 4, 64, ..., 4 16^7 and last the most
-    ulps that keep c >= x(1 - 2^-20), where one exact sign gives p the sign
-    opposite to its leading coefficient, so p has an odd number of roots above
-    c; None where the guess fails or no step confirms."""
+    and the first c `_walk` finds down from x where p has the sign opposite
+    to its leading coefficient, so p has an odd number of roots above c;
+    None where the guess fails or no step confirms."""
     x = _float_top_root(p)
     if x is None or x <= 0:
         return None
-    X, U, E = _ulp_grid(x)
-    most, opposite = X // (U << 20), (p[-1] < 0) - (p[-1] > 0)
-    for w in [w for w in (4 * 16**j for j in range(8)) if w < most] + [most]:
-        if _sign_scaled(p, X - w * U, E) == opposite:
-            return x, Fraction(X - w * U, E)
-    return None
+    below = _walk(p, x, (p[-1] < 0) - (p[-1] > 0), down=True)
+    return None if below is None else (x, below[0])
 
 
 def _ratio(n: int, d: int) -> float:
@@ -454,9 +466,7 @@ def _nearest_top_root(p: Sequence) -> tuple[float, int, tuple] | None:
     return _nearest_from(p, _below_top(p), _Chains())
 
 
-def _nearest_from(
-    p: Sequence, below: tuple | None, chains: _Chains
-) -> tuple[float, int, tuple] | None:
+def _nearest_from(p: Sequence, below: tuple | None, chains: _Chains) -> tuple[float, int, tuple] | None:
     """The double nearest the largest real root of p, the number of exact
     sign tests of q (below) it took past `below` (0 for a root met by
     isolation), and the final rational bracket, an open interval holding
@@ -467,64 +477,46 @@ def _nearest_from(
     A Descartes test comes first: at c from `_below_top`, where p has the
     sign opposite to its leading coefficient, p(c + y) with one sign
     variation has one root y > 0, so p has one root above c, a simple one.
-    There q is p, and the upper end walks up from `_below_top`'s guess x by
-    4, 64, 1024, ... ulps to the first point where one exact sign gives p
-    its leading sign, so the root lies below it (a zero sign walks on; past
-    `root_bound` every sign is the leading one).  Otherwise (a multiple
-    top root, a guess that is noise) the root is isolated on p's integer
-    Sturm chain (`isolate_top_root`), q is p's square-free part, and one
-    test of q's sign at the lower end of the isolating interval starts the
-    halving there, with no float guess.
+    There q is p, and the upper end is where `_walk` up from `_below_top`'s
+    guess x first gives p its leading sign, so the root lies below it (a
+    zero sign walks on; past `root_bound` every sign is the leading one).
+    Otherwise (a multiple top root, a guess that is noise) the root is
+    isolated on p's integer Sturm chain (`isolate_top_root`), q is p's
+    square-free part, and one test of q's sign at the lower end of the
+    isolating interval starts the halving there, with no float guess.
 
-    From the first bracket, sign bisection on q (as in `refine_isolating`)
-    runs until both ends round to the same double.  Once they round to two
-    adjacent doubles, the sign at the midpoint of those doubles (an end's is
-    known) decides which is nearer; a root exactly there is rounded half to
-    even.  An end past the largest double reads as +-inf.
+    From the first bracket, `_bisect` halves on q's sign until both ends
+    round to one double or to two adjacent ones.  For two, q's sign at the
+    tie point between them (an end's is known) decides which is nearer; a
+    root exactly there is rounded half to even.  An end past the largest
+    double M reads as +-inf, with the tie point at +-(M + ulp(M) / 2).
     """
     p = trim(p)
     if below is not None and _sign_changes(taylor_shift(p, below[1])) == 1:
         (x, a), q, left = below, p, (p[-1] < 0) - (p[-1] > 0)
+        b, tests = _walk(p, x, -left)
     else:
         top = isolate_top_root(p, evaluate=partial(chains.evaluate, p))
         if top is None:
             return None
         if top[0] == "point":
             return float(top[1]), 0, top[1:] * 2
-        (_, a, b), q, x = top, _square_free(chains.chain(p)), None
-    tests = 0
+        (_, a, b), q = top, _square_free(chains.chain(p))
+        left, tests = sign_at(q, a), 1
 
-    def sign(n: int, d: int) -> int:
-        nonlocal tests
-        tests += 1
-        return _sign_scaled(q, n, d)
+    def adjacent(A: int, B: int, D: int) -> bool:  # the ends round to one double or to two adjacent ones
+        fb = _ratio(B, D)
+        return nextafter(_ratio(A, D), fb) == fb
 
-    if x is None:  # the Sturm route
-        left = sign(a.numerator, a.denominator)
-    else:  # the Descartes route: `_below_top` took p's sign at c; the upper end walks up
-        X, U, E = _ulp_grid(x)
-        w = 4
-        while sign(X + w * U, E) != -left:
-            w *= 16
-        b = Fraction(X + w * U, E)
-    D = lcm(a.denominator, b.denominator)
-    A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
-    fa, fb = _ratio(A, D), _ratio(B, D)  # only the end that moves needs a new division
-    while fa != fb:
-        if nextafter(fa, fb) == fb:
-            n, d = ((Fraction(fa) + Fraction(fb)) / 2).as_integer_ratio()
-            s = left if n * D == A * d else -left if n * D == B * d else sign(n, d)
-            x = n / d if s == 0 else fa if s != left else fb
-            return x, tests, (Fraction(A, D), Fraction(B, D))
-        mid, A, B, D = A + B, 2 * A, 2 * B, 2 * D
-        s, fm = sign(mid, D), _ratio(mid, D)
-        if s == 0:
-            return fm, tests, (Fraction(mid, D),) * 2
-        if s != left:
-            B, fb = mid, fm
-        else:
-            A, fa = mid, fm
-    return fa, tests, (Fraction(A, D), Fraction(B, D))
+    A, B, D, halvings = _bisect(q, a, b, left, adjacent)
+    fa, fb, bracket = _ratio(A, D), _ratio(B, D), (Fraction(A, D), Fraction(B, D))
+    if fa == fb:
+        return fa, tests + halvings, bracket
+    f, g = sorted((fa, fb), key=abs)  # f is finite, and ulp(f) apart from g
+    n, d = (Fraction(f) + Fraction(copysign(ulp(f), g - f)) / 2).as_integer_ratio()
+    s = left if n * D == A * d else -left if n * D == B * d else _sign_scaled(q, n, d)
+    tests += halvings + (n * D not in (A * d, B * d))  # the tie's sign is taken unless it is an end's
+    return _ratio(n, d) if s == 0 else fa if s != left else fb, tests, bracket
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -142,6 +145,22 @@ def test_bound_perfect(capsys):
     code, out = run(capsys, "bound", "4", "3", "3", "--perfect")
     assert code == 0
     assert abs(json.loads(out)["rho"] - 1.4655712318767682) < 1e-9
+
+
+def test_python_dash_m(capsys):
+    """`python -m hypertree_spectra` runs the same `main` as the console
+    script, in a fresh interpreter, and exits with its code."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def python_m(*argv):
+        argv = [sys.executable, "-m", "hypertree_spectra", *argv]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+
+    done = python_m("--version")
+    assert (done.returncode, done.stdout) == (0, "0.1.0\n")
+    done = python_m("bound", "4", "3", "3", "--perfect")
+    assert (done.returncode, done.stdout) == run(capsys, "bound", "4", "3", "3", "--perfect")
 
 
 def test_bound_perfect_checks_k(capsys):

@@ -10,6 +10,7 @@ import pytest
 import hypertree_spectra
 from hypertree_spectra import (
     Hypergraph,
+    MatchingProfile,
     SuiteConfig,
     build_S,
     edge_release,
@@ -17,6 +18,7 @@ from hypertree_spectra import (
     hyperstar,
     is_isomorphic,
     majorization_chain,
+    majorization_step,
     relabel,
     residual,
     spectral_radius_polyroot,
@@ -138,6 +140,12 @@ TRIANGLE = Hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
         (lambda: spectral_radius_polyroot(Hypergraph(2, 0)), "empty hypergraph has no spectrum"),
         (lambda: edge_release(TRIANGLE, (0, 1)), "edge release is defined on linear hyperforests"),
         (lambda: majorization_chain([3, 0], [2, 1]), "first vector must be majorized by the second"),
+        pytest.param(
+            lambda: majorization_step((3, 0), (2, 1)), "first vector must be majorized by the second", id="majorization_step"
+        ),
+        (lambda: MatchingProfile(()), "counts must start with m(H,0) = 1"),
+        (lambda: MatchingProfile((2, 1)), "counts must start with m(H,0) = 1"),
+        (lambda: MatchingProfile((1, 0)), "trailing count must be positive"),
         (
             lambda: SuiteConfig.from_json_dict({"ranges": [[2, 5]]}),
             "suite field 'ranges' must be a list of objects with 'r' and 'm_max'",

@@ -14,6 +14,7 @@ from the isolating interval with no float guess, where it falls back.
 
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -403,6 +404,7 @@ def test_root_bound_encloses_every_real_root():
         assert poly.count_real_roots(chain, -B, B) == poly.count_real_roots(chain, -C, C), p
     p = _z_poly(random_hypertree(200, 3, random.Random(1)))
     assert poly.root_bound(p) <= 2**10 and _cauchy(p) > 2**129
+    assert poly.root_bound([5]) == poly.root_bound([]) == 1  # a constant: no root, any bound
 
 
 def test_certificate_agrees_with_sturm_route(monkeypatch):
@@ -728,6 +730,71 @@ def test_bracket_ends_past_the_largest_double():
     top = poly._nearest_top_root(p)
     assert top[0] == 1.0
     _assert_bracket(p, top)
+
+
+def test_tie_next_to_the_largest_double():
+    """Roots about the tie point M + ulp(M) / 2 between the largest double
+    M and inf: below it the root reads as M; on it (half to even, and M's
+    significand is odd) and above it as inf; the mirrored roots as -M and
+    -inf.  The final bracket holds the root and no other."""
+    M = int(sys.float_info.max)
+    tie = M + 2**970
+    for R, expected in ((tie - 1, sys.float_info.max), (tie, math.inf), (tie + 1, math.inf), (M + 2**971, math.inf)):
+        for p, x in (([-R, 1], expected), ([R, 1], -expected)):
+            top = poly._nearest_top_root(p)
+            assert top[0] == x, (R - M, p[0] < 0)
+            (a, b), root = top[2], Fraction(-p[0])
+            assert a <= root <= b and poly.count_real_roots(poly.sturm_chain(p), a - 1, b + 1) == 1
+
+
+def test_bisect_stops_counts_and_lands_on_roots(monkeypatch):
+    """The kernel's one sign bisection: a stop rule that holds at once
+    takes no sign and hands back the ends over their common denominator;
+    a dyadic root met at a midpoint ends the halving with A == B there;
+    the count it returns is the number of signs it takes."""
+    q = [-3, 8]  # 8z - 3: the root 3/8, met at the third midpoint of (0, 1)
+    a, b = Fraction(1, 6), Fraction(3, 4)
+    A, B, D, n = poly._bisect(q, a, b, -1, lambda A, B, D: True)
+    assert n == 0 and (Fraction(A, D), Fraction(B, D)) == (a, b) and D == 12
+    assert poly._bisect(q, Fraction(0), Fraction(1), -1, lambda A, B, D: False) == (3, 3, 8, 3)
+    signs, sign_scaled = [], poly._sign_scaled
+    monkeypatch.setattr(poly, "_sign_scaled", lambda q, n, d: signs.append((n, d)) or sign_scaled(q, n, d))
+    p = [-2, 0, 1]  # z^2 - 2
+    for width in (Fraction(1, 2), Fraction(1, 2**30), Fraction(1, 2**90)):
+        signs.clear()
+        A, B, D, n = poly._bisect(p, Fraction(1), Fraction(2), -1, lambda A, B, D: (B - A) * width.denominator <= D)
+        assert n == len(signs) > 0 and A * A < 2 * D * D < B * B and Fraction(B - A, D) <= width
+
+
+def test_kernel_takes_one_bisection_and_one_walk(monkeypatch):
+    """`refine_isolating` and both routes of `_nearest_top_root` halve
+    through `_bisect`, whose signs the kernel counts with the upper walk's
+    or the Sturm route's one sign, and one at most for the tie; on the
+    Descartes route the bracket it halves is the two ends `_walk`
+    confirms, down and up from the float guess."""
+    bisects, walks = [], []
+    bisect, walk = poly._bisect, poly._walk
+
+    def bisect_spy(q, a, b, left, done):
+        bisects.append(((a, b), bisect(q, a, b, left, done)))
+        return bisects[-1][1]
+
+    def walk_spy(q, x, want, down=False):
+        walks.append(walk(q, x, want, down))
+        return walks[-1]
+
+    monkeypatch.setattr(poly, "_bisect", bisect_spy)
+    monkeypatch.setattr(poly, "_walk", walk_spy)
+    p = [-2, 0, 1]  # z^2 - 2
+    assert poly.refine_isolating(p, 1, 2, Fraction(1, 2**20))[0] == "interval" and len(bisects) == 1
+    top = poly._nearest_top_root(p)
+    (c, _), (b, ups) = walks
+    assert top[0] == math.sqrt(2) and len(bisects) == 2 and bisects[-1][0] == (c, b)
+    assert top[1] - ups - bisects[-1][1][3] in (0, 1) and c < b
+    monkeypatch.setattr(poly, "_below_top", lambda p: None)
+    sturm = poly._nearest_top_root(p)
+    assert sturm[0] == top[0] and len(bisects) == 3 and len(walks) == 2
+    assert sturm[1] - 1 - bisects[-1][1][3] in (0, 1)  # one sign at the isolating interval's lower end
 
 
 def _shifted_guess(monkeypatch, shift):
