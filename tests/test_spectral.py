@@ -418,7 +418,8 @@ def test_power_certificate_holds_polyroot_rho():
 
 def test_solve_against_numpy_and_singular():
     """The mixing's Gram-system solver: the numpy solution on Gram matrices
-    of 1 to 5 random vectors, and None on a singular Gram matrix."""
+    of 1 to 5 random vectors, coefficient 0 for a dependent row, and None
+    when no pivot is positive."""
     rng = np.random.default_rng(9)
     for k in range(1, 6):
         for _ in range(20):
@@ -427,5 +428,20 @@ def test_solve_against_numpy_and_singular():
             b = rng.standard_normal(k)
             got = spectral._solve(gram.tolist(), b.tolist())
             assert np.allclose(got, np.linalg.solve(gram, b), rtol=1e-9, atol=1e-12)
-    assert spectral._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
+    assert spectral._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) == [1.0, 0.0]
     assert spectral._solve([[0.0]], [1.0]) is None
+
+
+def test_power_star_drops_dependent_differences():
+    """A star's iterates span few directions, so its Gram systems are
+    singular.  A dependent difference gets coefficient 0 and the others
+    still mix: hyperstar(m, r) closes its bracket in at most 15 steps for
+    r = 2, 3, 4 and m = 100, 1000, and the certificate holds m^(1/r) to
+    the 1e-12 the float brackets may round by."""
+    assert spectral._solve([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]], [1.0, 1.0, 4.0]) == [1.0, 0.0, 2.0]
+    for r in (2, 3, 4):
+        for m in (100, 1000):
+            res = spectral_radius_power(hyperstar(m, r))
+            assert res.iterations <= 15, (m, r, res.iterations)
+            lo, hi = res.certificate
+            assert lo - 1e-12 <= m ** (1 / r) <= hi + 1e-12, (m, r)
